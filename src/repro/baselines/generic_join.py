@@ -18,15 +18,16 @@ from repro.core.instrumentation import OperationCounter
 from repro.query.atoms import Atom, ConjunctiveQuery
 from repro.query.terms import Variable
 from repro.storage.database import Database
-from repro.storage.dictionary import ValueDictionary, ValueEncodingError
+from repro.storage.dictionary import ValueDictionary
 from repro.storage.relation import Relation
 from repro.storage.views import atom_column_order, shared_atom_index
 
 
 class _PrefixIndex:
-    """Hash index over one atom view: prefix tuple -> sorted candidate values.
+    """Hash index over one atom view: prefix tuple -> sorted candidate codes.
 
-    Level ``i`` maps an assignment of the first ``i`` variables (in global
+    Buckets are keyed by the database's dictionary codes (candidates sort by
+    code).  Level ``i`` maps an assignment of the first ``i`` variables (in global
     order) to the sorted list of values the ``i+1``-th variable can take.
     The index carries no counter so it can be shared between executions (the
     caller records probes); ``column_order`` gives the view columns in global
@@ -42,13 +43,10 @@ class _PrefixIndex:
         self,
         relation: Relation,
         column_order: Sequence[int],
-        dictionary: Optional[ValueDictionary] = None,
+        dictionary: ValueDictionary,
     ) -> None:
         self.column_order = tuple(column_order)
-        #: The database's value dictionary when buckets are keyed by int
-        #: codes (candidates then sort by code); ``None`` on the raw path.
         self.dictionary = dictionary
-        self.encoded = dictionary is not None
         self._levels: List[Dict[Tuple[object, ...], List[object]]] = [
             {} for _ in self.column_order
         ]
@@ -56,8 +54,7 @@ class _PrefixIndex:
             {} for _ in self.column_order
         ]
         for row in relation.tuples:
-            if dictionary is not None:
-                row = dictionary.encode_row(row)
+            row = dictionary.encode_row(row)
             ordered = tuple(row[index] for index in self.column_order)
             for level in range(len(ordered)):
                 prefix = ordered[:level]
@@ -90,19 +87,17 @@ class _PrefixIndex:
         Called by :meth:`repro.storage.database.Database.insert` / ``delete``
         through the shared index cache, mirroring
         :meth:`repro.storage.trie.LsmTrieIndex.apply_delta`; rows arrive in
-        view column layout (value space) and are permuted — and, on the
-        encoded path, dictionary-encoded — here.  Deletes naming never-seen
-        values cannot match and are skipped without growing the dictionary.
+        view column layout (value space) and are dictionary-encoded and
+        permuted here.  Deletes naming never-seen values cannot match and are
+        skipped without growing the dictionary.
         """
         dictionary = self.dictionary
-        if dictionary is not None:
-            coded_deletes = []
-            for row in deleted:
-                coded = dictionary.try_encode_row(row)
-                if coded is not None:
-                    coded_deletes.append(coded)
-            deleted = coded_deletes
-            inserted = [dictionary.encode_row(row) for row in inserted]
+        deleted = [
+            coded
+            for coded in map(dictionary.try_encode_row, deleted)
+            if coded is not None
+        ]
+        inserted = [dictionary.encode_row(row) for row in inserted]
         for row in deleted:
             ordered = tuple(row[index] for index in self.column_order)
             for level in range(len(ordered)):
@@ -166,19 +161,10 @@ class GenericJoin:
 
         self._indexes: List[_PrefixIndex] = []
         self._atom_order: List[Tuple[Variable, ...]] = []
-        try:
-            self._build_indexes()
-        except ValueEncodingError:
-            # Un-encodable inputs: fall back to the raw-object path (the
-            # database drops any half-encoded cached indexes) and rebuild.
-            database.disable_encoding()
-            self._build_indexes()
-        #: True when every prefix index is keyed by dictionary codes — the
-        #: join then runs entirely in code space.
-        self.encoded = bool(self._indexes) and all(
-            index.encoded for index in self._indexes
-        )
-        self._dictionary = database.dictionary if self.encoded else None
+        for atom in query.atoms:
+            ordered, column_order = atom_column_order(atom, self._depth_of)
+            self._indexes.append(atom_prefix_index(database, atom, column_order))
+            self._atom_order.append(ordered)
 
         self._atoms_at_depth: List[Tuple[int, ...]] = [
             tuple(
@@ -188,15 +174,6 @@ class GenericJoin:
             )
             for variable in order
         ]
-
-    def _build_indexes(self) -> None:
-        """(Re)build the shared prefix indexes under the current mode."""
-        self._indexes = []
-        self._atom_order = []
-        for atom in self.query.atoms:
-            ordered, column_order = atom_column_order(atom, self._depth_of)
-            self._indexes.append(atom_prefix_index(self.database, atom, column_order))
-            self._atom_order.append(ordered)
 
     # ------------------------------------------------------------- execution
     def _bound_prefix(self, atom_index: int, assignment: List[object], depth_limit: int) -> Tuple[object, ...]:
@@ -240,19 +217,16 @@ class GenericJoin:
     def evaluate(self) -> Iterator[Tuple[object, ...]]:
         """Yield every result tuple in variable-order positions.
 
-        Encoded executions decode each row here for direct callers; the
-        engine consumes :meth:`evaluate_coded` and decodes lazily at the
-        result boundary instead.
+        The join runs over codes; each row is decoded here for direct
+        callers, while the engine consumes :meth:`evaluate_coded` and
+        decodes lazily at the result boundary instead.
         """
-        if self._dictionary is not None:
-            decode_row = self._dictionary.decode_row
-            for row in self.evaluate_coded():
-                yield decode_row(row)
-        else:
-            yield from self.evaluate_coded()
+        decode_row = self.database.dictionary.decode_row
+        for row in self.evaluate_coded():
+            yield decode_row(row)
 
     def evaluate_coded(self) -> Iterator[Tuple[object, ...]]:
-        """Yield result tuples in storage space (codes when encoded)."""
+        """Yield result tuples as dictionary codes."""
         assignment: List[object] = [None] * self.num_variables
         yield from self._evaluate_recursive(0, assignment)
 
@@ -274,7 +248,7 @@ class GenericJoin:
 
     def execution_metadata(self) -> Dict[str, object]:
         """Executor-protocol hook: per-algorithm facts worth reporting."""
-        return {"prefix_indexes": len(self._indexes), "encoded": self.encoded}
+        return {"prefix_indexes": len(self._indexes)}
 
     def _split_atoms(
         self, depth: int, assignment: List[object]

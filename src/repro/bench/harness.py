@@ -195,7 +195,6 @@ def run_update_benchmark(
             # Count-only streaming must never decode dictionary codes
             # (a delta over the streaming phase, like every other counter).
             "decodes": database.dictionary.decodes - before[4],
-            "encoded": database.encoding_active,
         }
         step_counts[strategy] = counts
 
@@ -350,7 +349,6 @@ def run_parallel_benchmark(
                     "partition_skew_static": metas["static"].get("partition_skew"),
                     "partition_skew_morsel": morsel_meta.get("partition_skew"),
                     "morsel_skew": morsel_meta.get("morsel_skew"),
-                    "encoded": morsel_meta.get("encoded"),
                     # Fault-tolerance sanity: a healthy benchmark run should
                     # show zero restarts/retries; nonzero values flag a host
                     # where workers are being killed (OOM, cgroup limits).

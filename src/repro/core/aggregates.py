@@ -228,10 +228,10 @@ class CachedAggregateTrieJoin(TrieJoinBase):
         self.semiring = semiring
         self.weight = weight
         # Weight functions receive *values* (they look up user-facing weight
-        # tables); on the encoded path the assignment holds codes, so matched
-        # values are decoded at this boundary.  Uniform weights never look at
-        # the values, keeping plain counting zero-decode.
-        self._decode_weight_values = self.encoded and weight is not uniform_weights
+        # tables) while the assignment holds codes, so matched values are
+        # decoded at this boundary.  Uniform weights never look at the
+        # values, keeping plain counting zero-decode.
+        self._decode_weight_values = weight is not uniform_weights
         self.policy = policy if policy is not None else AlwaysCachePolicy()
         self.cache = cache if cache is not None else AdhesionCache()
         if self.cache.counter is None:
@@ -297,7 +297,7 @@ class CachedAggregateTrieJoin(TrieJoinBase):
                 self._assignment[d] for d in self._atom_value_depths[atom_index]
             )
             if self._decode_weight_values:
-                values = self._dictionary.decode_row(values)
+                values = self.database.dictionary.decode_row(values)
             weight = self.weight(self.query.atoms[atom_index], values)
             if weight is None:
                 continue

@@ -246,15 +246,13 @@ class CachePolicy:
         Stateless policies need not override this.
         """
 
-    def bind_space(self, database: Database, encoded: bool) -> None:
-        """Declare which key space the execution probes the policy in.
+    def bind_space(self, database: Database) -> None:
+        """Bind the policy to the database's code space before a run.
 
-        Encoded executors hand the policy dictionary *codes* while the
-        statistics a policy may have gathered at construction live in value
-        space; this hook lets such a policy translate before the run.  The
-        flag is the executor's, not the database's: the nodes trie backend
-        runs raw values even while encoding is active.  Stateless policies
-        need not override this.
+        Executors hand the policy dictionary *codes* while the statistics a
+        policy may have gathered at construction live in value space; this
+        hook lets such a policy translate before the run.  Stateless
+        policies need not override this.
         """
 
 
@@ -309,26 +307,23 @@ class SupportThresholdPolicy(CachePolicy):
                 target = self._value_counts.setdefault(term, {})
                 for value, count in counts.items():
                     target[value] = target.get(value, 0) + count
-        #: The support table as built (value space); ``bind_space`` swaps
-        #: ``_value_counts`` between this and a code-space translation.
+        #: The support table as built (value space); ``bind_space`` points
+        #: ``_value_counts`` at its code-space translation.
         self._raw_counts = self._value_counts
         self._code_counts: Optional[Dict[Variable, Dict[object, int]]] = None
         self._code_dictionary_size = -1
 
-    def bind_space(self, database: Database, encoded: bool) -> None:
-        """Probe in the executor's key space (codes when encoded).
+    def bind_space(self, database: Database) -> None:
+        """Probe in code space.
 
         The support table is gathered from ``value_counts`` — value space —
-        but encoded executions build adhesion keys from dictionary codes,
-        so without translation every probe would read support 0 and the
+        but executions build adhesion keys from dictionary codes, so
+        without translation every probe would read support 0 and the
         policy would silently never cache.  The translation is memoised by
         dictionary size (the dictionary is append-only, so a grown
         dictionary may encode values that had no code at the last
         translation).
         """
-        if not encoded:
-            self._value_counts = self._raw_counts
-            return
         dictionary = database.dictionary
         if (
             self._code_counts is None
@@ -410,7 +405,7 @@ class CompositePolicy(CachePolicy):
         for policy in self.policies:
             policy.reset()
 
-    def bind_space(self, database: Database, encoded: bool) -> None:
-        """Bind every member policy to the execution's key space."""
+    def bind_space(self, database: Database) -> None:
+        """Bind every member policy to the database's code space."""
         for policy in self.policies:
-            policy.bind_space(database, encoded)
+            policy.bind_space(database)

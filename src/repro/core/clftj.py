@@ -76,8 +76,6 @@ class CachedLeapfrogTrieJoin(TrieJoinBase):
         policy: Optional[CachePolicy] = None,
         cache: Optional[AdhesionCache] = None,
         counter: Optional[OperationCounter] = None,
-        *,
-        trie_backend: str = "columnar",
     ) -> None:
         decomposition.validate(query)
         decomposition = decomposition.contract_ownerless_bags()
@@ -87,7 +85,7 @@ class CachedLeapfrogTrieJoin(TrieJoinBase):
             raise ValueError(
                 "the decomposition is not strongly compatible with the variable order"
             )
-        super().__init__(query, database, variable_order, counter, trie_backend=trie_backend)
+        super().__init__(query, database, variable_order, counter)
         self.decomposition = decomposition
         self.policy = policy if policy is not None else AlwaysCachePolicy()
         self.cache = cache if cache is not None else AdhesionCache()
@@ -147,7 +145,7 @@ class CachedLeapfrogTrieJoin(TrieJoinBase):
         super()._prepare()
         self.cache.counter = self.counter
         self.policy.reset()
-        self.policy.bind_space(self.database, self.encoded)
+        self.policy.bind_space(self.database)
 
     # ------------------------------------------------------------------ keys
     def _adhesion_key(self, node: int) -> Tuple[object, ...]:
@@ -194,7 +192,7 @@ class CachedLeapfrogTrieJoin(TrieJoinBase):
         participants = self._participants(depth)
         is_last_own = depth == self._last_own_depth[node]
         children = self.decomposition.children(node)
-        if depth + 1 == self.num_variables and self.encoded:
+        if depth + 1 == self.num_variables:
             # Same batched deepest-level kernel as LFTJ (the two algorithms
             # must perform identical trie operations when no caching takes
             # place — Section 3.2): fused child-run intersection first, the
@@ -225,11 +223,8 @@ class CachedLeapfrogTrieJoin(TrieJoinBase):
             # No batched kernel applies: fall through to the generic loop
             # over the already-opened iterators.
         else:
-            opened = False
-        if not opened:
             for iterator in participants:
                 iterator.open()
-        if self.encoded and depth + 1 < self.num_variables:
             # Interior variable: same batched position walk as LFTJ
             # (identical trie operations when no caching takes place —
             # Section 3.2).
@@ -295,18 +290,15 @@ class CachedLeapfrogTrieJoin(TrieJoinBase):
 
         Cached intermediates are factorised representations; on a cache hit
         the subtree's assignments are grafted into the output without
-        re-traversing the tries.  On the encoded path the traversal (and the
-        factorised cache) lives in code space; rows are decoded here for
-        direct callers, while the engine consumes :meth:`evaluate_coded` and
-        defers decoding to the result boundary.
+        re-traversing the tries.  The traversal (and the factorised cache)
+        lives in code space; rows are decoded here for direct callers, while
+        the engine consumes :meth:`evaluate_coded` and defers decoding to
+        the result boundary.
         """
-        if self.encoded:
-            yield from self._decoded(self.evaluate_coded())
-        else:
-            yield from self.evaluate_coded()
+        yield from self._decoded(self.evaluate_coded())
 
     def evaluate_coded(self) -> Iterator[Tuple[object, ...]]:
-        """Yield result tuples in storage space (codes when encoded)."""
+        """Yield result tuples as dictionary codes."""
         self.cache.bind_mode("evaluate")
         self._prepare()
         if self.deadline is not None:
@@ -366,14 +358,11 @@ class CachedLeapfrogTrieJoin(TrieJoinBase):
             iterator.open()
         is_last_own = depth == self._last_own_depth[node]
         children = self.decomposition.children(node)
-        batch = None
-        if self.encoded:
-            if depth + 1 == self.num_variables:
-                keys = intersect_keys(participants, self.counter)
-                if keys is not None:
-                    batch = (keys, None)
-            else:
-                batch = intersect_positions(participants, self.counter)
+        if depth + 1 == self.num_variables:
+            keys = intersect_keys(participants, self.counter)
+            batch = (keys, None) if keys is not None else None
+        else:
+            batch = intersect_positions(participants, self.counter)
         if batch is not None:
             keys, positions = batch
             walkers = (
@@ -432,22 +421,20 @@ class CachedLeapfrogTrieJoin(TrieJoinBase):
         return self.cache.invalidate_nodes(affected)
 
     def decoded_cache_keys(self, limit: Optional[int] = None) -> List[Tuple[int, Tuple[object, ...]]]:
-        """Cache keys for inspection, decoded to value space when encoded.
+        """Cache keys for inspection, decoded to value space.
 
         Adhesion keys are stored in the traversal's key space — dictionary
-        codes on the encoded path — for small keys and fast hashing; this
+        codes — for small keys and fast hashing; this
         is the *only* decode boundary, intended for debugging and tests,
         never for the hot path.
         """
         keys = self.cache.keys()
         decoded: List[Tuple[int, Tuple[object, ...]]] = []
-        decode = self.database.dictionary.decode if self.encoded else None
+        decode = self.database.dictionary.decode
         for node, values in keys:
             if limit is not None and len(decoded) >= limit:
                 break
-            if decode is not None:
-                values = tuple(decode(code) for code in values)
-            decoded.append((node, values))
+            decoded.append((node, tuple(decode(code) for code in values)))
         return decoded
 
     def cache_report(self) -> Dict[str, object]:

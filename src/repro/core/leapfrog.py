@@ -7,7 +7,7 @@ iterators and seeking each to the current maximum (Veldhuizen's "leapfrog
 join").  The amortised cost is within a log factor of the smallest list,
 which is what gives LFTJ its worst-case-optimality.
 
-On the dictionary-encoded path the sibling lists are contiguous sorted *int*
+Over dictionary-encoded tries the sibling lists are contiguous sorted *int*
 runs inside flat columns, which admits a second execution strategy:
 :func:`intersect_count` intersects whole runs block-at-a-time (numpy set
 ops when available, a galloping two-pointer merge otherwise) instead of

@@ -4,10 +4,10 @@ The interpreted :class:`~repro.core.lftj.LeapfrogTrieJoin` dispatches every
 join level through generic per-variable Python — iterator method calls,
 participant-list indirection, per-key counter bookkeeping.  This module
 closes the plan -> compile -> execute split: from a planned (query,
-variable order) over an encoded database it *generates Python source* with
-the variable order unrolled into straight-line nested loops, compiles it
-once via ``exec`` (pure stdlib), and caches the result in the database's
-compiled-driver cache under the name-erased query signature.
+variable order) over the dictionary-encoded tries it *generates Python
+source* with the variable order unrolled into straight-line nested loops,
+compiles it once via ``exec`` (pure stdlib), and caches the result in the
+database's compiled-driver cache under the name-erased query signature.
 
 What the generated driver does differently from the interpreter:
 
@@ -36,9 +36,9 @@ Because the driver holds direct references to trie columns, it is only
 valid while those columns are current: the database drops cached drivers on
 relation replacement, inserts/deletes *and* delta compaction (compaction
 swaps the backing arrays without a version bump).  Queries whose tries
-carry unmerged deltas, or raw (non-encoded) databases, fall back to the
-interpreted path — which is also kept, behind ``compile=False``, as the
-differential oracle for the compiled results.
+carry unmerged deltas fall back to the interpreted path — which is also
+kept, behind ``compile=False``, as the differential oracle for the compiled
+results.
 
 The generated source is inspectable: ``CompiledTrieJoin.debug_source()``
 (or ``CompiledDriver.debug_source``) returns it verbatim.
@@ -147,7 +147,7 @@ def driver_cache_key(
 
 
 def _pure_main(trie) -> Optional[TrieIndex]:
-    """The delta-free encoded columnar index behind ``trie``, or ``None``.
+    """The delta-free columnar index behind ``trie``, or ``None``.
 
     Compiled drivers read raw columns, so an LSM trie qualifies only when
     its delta level is empty (reads then bypass the merging iterator
@@ -158,9 +158,7 @@ def _pure_main(trie) -> Optional[TrieIndex]:
     base = getattr(trie, "main", None)
     if base is None:
         base = trie
-    if isinstance(base, TrieIndex) and base.encoded:
-        return base
-    return None
+    return base if isinstance(base, TrieIndex) else None
 
 
 def _atom_bundle(base: TrieIndex) -> Tuple[object, ...]:
@@ -220,8 +218,6 @@ class CompiledDriver:
         cached entry — this check lets long-lived holders (prepared
         queries) notice without consulting the cache.
         """
-        if not database.encoding_active:
-            return False
         return all(
             database.relation_version(name) == version
             for name, version in self.relation_versions.items()
@@ -1104,8 +1100,6 @@ class CompiledClftjDriver:
 
     def matches(self, database: Database) -> bool:
         """Is this driver still current for ``database``? (see CompiledDriver)"""
-        if not database.encoding_active:
-            return False
         return all(
             database.relation_version(name) == version
             for name, version in self.relation_versions.items()
@@ -1165,8 +1159,8 @@ class CompiledCachedTrieJoin(_BoundedCachedLeapfrogTrieJoin):
     """CLFTJ executor that runs counts through a compiled driver when it can.
 
     Same two-phase protocol and fallback discipline as
-    :class:`CompiledTrieJoin` — raw storage and pending deltas run the
-    inherited interpreted execution — plus two CLFTJ-specific rules:
+    :class:`CompiledTrieJoin` — pending deltas run the inherited
+    interpreted execution — plus two CLFTJ-specific rules:
     decompositions with more probed nodes than
     :data:`MAX_UNROLLED_CACHE_NODES` stay interpreted, and *evaluation*
     always runs interpreted (factorized-representation grafting is control
@@ -1210,9 +1204,6 @@ class CompiledCachedTrieJoin(_BoundedCachedLeapfrogTrieJoin):
         if self._built:
             return self._driver
         self._built = True
-        if not self.encoded:
-            self._compiled_reason = "raw storage (dictionary encoding inactive)"
-            return None
         pure_tries = [_pure_main(trie) for trie in self._atom_tries]
         if any(base is None for base in pure_tries):
             self._compiled_reason = "unmerged deltas pending on an atom trie"
@@ -1264,11 +1255,11 @@ class CompiledCachedTrieJoin(_BoundedCachedLeapfrogTrieJoin):
         self._mode_reason = None
         # The same per-execution cache/policy discipline as the interpreted
         # _prepare(): counts on the current counter, fresh policy state,
-        # policy probes in the execution's key space.
+        # policy probes in code space.
         self.cache.bind_mode("count")
         self.cache.counter = self.counter
         self.policy.reset()
-        self.policy.bind_space(self.database, self.encoded)
+        self.policy.bind_space(self.database)
         lo, hi = self._range
         return driver.count(
             self.counter, self.cache, self.policy, lo, hi, self.deadline
@@ -1298,10 +1289,10 @@ class CompiledTrieJoin(_BoundedLeapfrogTrieJoin):
     """LFTJ executor that runs through a compiled driver when it can.
 
     The two-phase protocol: construction resolves tries exactly like the
-    interpreted executor (so index caching, encoding fallback and metadata
-    behave identically); :meth:`build` then fetches-or-compiles the driver
-    from the database's compiled cache.  Raw databases and tries with
-    pending deltas fall back to the inherited interpreted execution — the
+    interpreted executor (so index caching and metadata behave
+    identically); :meth:`build` then fetches-or-compiles the driver from
+    the database's compiled cache.  Tries with pending deltas fall back to
+    the inherited interpreted execution — the
     executor is then byte-for-byte the interpreted ``lftj`` (or its bounded
     shard variant when a ``[lo, hi)`` range is given).
 
@@ -1342,9 +1333,6 @@ class CompiledTrieJoin(_BoundedLeapfrogTrieJoin):
         if self._built:
             return self._driver
         self._built = True
-        if not self.encoded:
-            self._compiled_reason = "raw storage (dictionary encoding inactive)"
-            return None
         pure_tries = [_pure_main(trie) for trie in self._atom_tries]
         if any(base is None for base in pure_tries):
             self._compiled_reason = "unmerged deltas pending on an atom trie"

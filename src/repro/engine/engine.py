@@ -500,8 +500,6 @@ class QueryEngine:
             return f"not applicable (algorithm {algorithm!r} runs interpreted)"
         if compile is False:
             return "disabled (compile=False; interpreted oracle path)"
-        if not self.database.encoding_active:
-            return "unavailable (raw storage; falls back to interpreted)"
         if algorithm in ("clftj", "pclftj"):
             if plan is None:
                 return "will compile on first execution (count mode)"
@@ -735,8 +733,8 @@ class QueryEngine:
             value = executor.count()
         elif mode == "evaluate":
             evaluate_coded = getattr(executor, "evaluate_coded", None)
-            if evaluate_coded is not None and getattr(executor, "encoded", False):
-                # Encoded executors stream code tuples; materialise them
+            if evaluate_coded is not None:
+                # Trie-family executors stream code tuples; materialise them
                 # as-is and let the result decode lazily on first access —
                 # a result whose rows are never read costs zero decodes.
                 coded_rows = [tuple(row) for row in evaluate_coded()]

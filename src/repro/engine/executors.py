@@ -71,13 +71,13 @@ class Executor(Protocol):
     ``variable_order``; ``execution_metadata()`` reports per-algorithm facts
     that the engine merges into the result metadata.
 
-    Executors running over dictionary-encoded indexes additionally expose
-    ``encoded = True`` plus an ``evaluate_coded()`` generator yielding rows
-    of int codes; the engine then collects codes and defers decoding to the
-    result boundary (:class:`repro.engine.results.ExecutionResult.rows`),
-    so count-only executions and untouched result sets never decode.  Both
-    members are optional — the engine duck-types them and falls back to
-    plain ``evaluate()``.
+    Executors running over the dictionary-encoded indexes additionally
+    expose an ``evaluate_coded()`` generator yielding rows of int codes; the
+    engine then collects codes and defers decoding to the result boundary
+    (:class:`repro.engine.results.ExecutionResult.rows`), so count-only
+    executions and untouched result sets never decode.  The member is
+    optional — the engine duck-types it and falls back to plain
+    ``evaluate()``.
     """
 
     counter: OperationCounter

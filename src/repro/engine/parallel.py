@@ -125,8 +125,7 @@ class PartitionPlan:
     """The range layout for one parallel execution.
 
     ``bounds`` holds ``k - 1`` non-decreasing cut keys in the top variable's
-    key space (dictionary codes on the encoded path, raw values otherwise):
-    range ``i`` covers ``[bounds[i-1], bounds[i])`` with open ends at both
+    key space (dictionary codes): range ``i`` covers ``[bounds[i-1], bounds[i])`` with open ends at both
     extremes, so the ranges tile the whole ordered key space regardless of
     how the cuts were estimated — balance affects speed, never correctness.
     Repeated cut keys produce deliberately *empty* ranges (small domains
@@ -174,8 +173,7 @@ class PartitionPlanner:
     exceeds their work.
 
     Bounds are computed in the same key space the shards will iterate in:
-    dictionary codes when the database encodes (code order is the trie
-    order), raw values otherwise.
+    dictionary codes (code order is the trie order).
     """
 
     def __init__(self, database: Database, catalog=None) -> None:
@@ -212,7 +210,7 @@ class PartitionPlanner:
             weighted = [(key, mean + weight) for key, weight in weighted]
             return self._balanced(top, weighted, shards, "statistics")
         dictionary = self.database.dictionary
-        if self.database.encoding_active and len(dictionary):
+        if len(dictionary):
             shards = self._clamp(num_shards, len(dictionary), min_keys_per_range)
             if shards <= 1:
                 return PartitionPlan(top.name, (), "single", (1.0,))
@@ -274,19 +272,16 @@ class PartitionPlanner:
         best = exact if exact is not None else approximate
         if not best:
             return None
-        if self.database.encoding_active:
-            # Translate to code space without appending: planning (and
-            # explain) must never mutate the shared dictionary.  Values the
-            # index builds have not encoded yet merely coarsen the split —
-            # bounds still tile the key space.
-            code_of = self.database.dictionary.code_of
-            items = [
-                (code, float(count))
-                for value, count in best.items()
-                if (code := code_of(value)) is not None
-            ]
-        else:
-            items = [(value, float(count)) for value, count in best.items()]
+        # Translate to code space without appending: planning (and explain)
+        # must never mutate the shared dictionary.  Values the index builds
+        # have not encoded yet merely coarsen the split — bounds still tile
+        # the key space.
+        code_of = self.database.dictionary.code_of
+        items = [
+            (code, float(count))
+            for value, count in best.items()
+            if (code := code_of(value)) is not None
+        ]
         if not items:
             return None
         items.sort(key=lambda pair: pair[0])
@@ -349,7 +344,6 @@ def cached_partition_plan(
         tuple(variable.name for variable in variable_order),
         num_shards,
         min_keys_per_range,
-        database.encoding_active,
     )
     return database.cached_plan(
         key,
@@ -771,7 +765,6 @@ class ParallelExecutor:
             cache=plan.make_cache() if plan is not None else None,
         )
         self.variable_order: Tuple[Variable, ...] = self._template.variable_order
-        self.encoded: bool = bool(getattr(self._template, "encoded", False))
         self._cache_key: Optional[Tuple[object, ...]] = None
         if inner == "clftj":
             from repro.engine.compiler import driver_cache_key
@@ -817,16 +810,13 @@ class ParallelExecutor:
         return sum(result.value for result in self._execute_morsels("count"))
 
     def evaluate(self) -> Iterator[Tuple[object, ...]]:
-        """Yield result rows as values (decoding at this boundary if encoded)."""
-        if self.encoded:
-            decode_row = self.database.dictionary.decode_row
-            for row in self.evaluate_coded():
-                yield decode_row(row)
-        else:
-            yield from self.evaluate_coded()
+        """Yield result rows as values (decoding at this boundary)."""
+        decode_row = self.database.dictionary.decode_row
+        for row in self.evaluate_coded():
+            yield decode_row(row)
 
     def evaluate_coded(self) -> Iterator[Tuple[object, ...]]:
-        """Yield result rows in storage space, concatenated in range order."""
+        """Yield result rows as codes, concatenated in range order."""
         for result in self._execute_morsels("evaluate"):
             yield from result.rows
 
@@ -911,11 +901,9 @@ class ParallelExecutor:
             for index, (lo, hi) in enumerate(ranges)
         ]
         morsel_mode = self.mode == "morsel"
-        split_domain = None
-        if morsel_mode and self.database.encoding_active:
-            # The splitter needs integer midpoints: the dictionary's code
-            # span.  Raw-value key spaces never split (stealing still works).
-            split_domain = (0, len(self.database.dictionary))
+        # The splitter bisects ranges at integer midpoints of the
+        # dictionary's code span.
+        split_domain = (0, len(self.database.dictionary)) if morsel_mode else None
         clftj = self.inner_algorithm == "clftj"
         job = MorselJob(
             spec=MorselSpec(
@@ -1070,7 +1058,7 @@ class ParallelExecutor:
 
     # -------------------------------------------------------------- reporting
     def execution_metadata(self) -> Dict[str, object]:
-        """Template facts (backend, encodedness) plus scheduling merge stats."""
+        """Template facts plus scheduling merge stats."""
         metadata = dict(self._template.execution_metadata())
         if self._shard_stats is not None:
             metadata.update(self._shard_stats)

@@ -950,7 +950,6 @@ class ForkWorkerPool(WorkerPool):
             database.index_builds,
             database.compiled_builds,
             len(database.dictionary),
-            database.encoding_active,
         )
 
     def _ensure_workers(self) -> None:

@@ -1,7 +1,7 @@
 """Execution results: the answer plus everything measured while computing it.
 
-This module is also the **decode boundary** of the encoded execution path:
-joins over dictionary-encoded indexes produce rows of int codes, which an
+This module is also the **decode boundary** of execution: joins over the
+dictionary-encoded indexes produce rows of int codes, which an
 :class:`ExecutionResult` holds as-is and only translates back to values the
 first time :attr:`ExecutionResult.rows` is actually read.  Count-only
 queries (the paper's primary measurements) therefore perform zero decode
@@ -22,8 +22,8 @@ from repro.storage.dictionary import ValueDictionary
 class ExecutionResult:
     """The outcome of one query execution.
 
-    ``count`` is always populated; ``rows`` only for evaluation runs (and,
-    on the encoded path, decoded lazily on first access).  ``counter``
+    ``count`` is always populated; ``rows`` only for evaluation runs
+    (decoded lazily on first access for the trie-family executors).  ``counter``
     carries the abstract operation counts (memory accesses, cache hits, ...)
     and ``elapsed_seconds`` the wall-clock time.
     """
@@ -55,8 +55,8 @@ class ExecutionResult:
     def rows(self) -> Optional[List[Tuple[object, ...]]]:
         """The materialised result rows (``None`` for count-only runs).
 
-        On the encoded path the rows are stored as code tuples and decoded
-        here, once, on first access; the decode work is added to
+        Trie-family executions store the rows as code tuples, decoded here,
+        once, on first access; the decode work is added to
         ``metadata["decodes"]`` and the dictionary's global counter.
         """
         if self._rows is None and self._coded_rows is not None:

@@ -10,28 +10,25 @@ subpackage provides the equivalent substrate in pure Python:
 * :mod:`repro.storage.statistics` -- cardinalities, distinct counts and skew
   measures used by the cost models and caching policies.
 * :mod:`repro.storage.loaders` -- SNAP edge-list and CSV loaders.
-* :mod:`repro.storage.dictionary` -- the per-database integer dictionary the
-  encoded join path draws codes from.
+* :mod:`repro.storage.dictionary` -- the per-database integer dictionary
+  every index and join draws codes from.
 """
 
 from repro.storage.relation import Relation
 from repro.storage.database import Database
-from repro.storage.dictionary import ValueDictionary, ValueEncodingError
-from repro.storage.trie import NodeTrieIndex, NodeTrieIterator, TrieIndex, TrieIterator
+from repro.storage.dictionary import ValueDictionary
+from repro.storage.trie import TrieIndex, TrieIterator
 from repro.storage.statistics import AttributeStatistics, RelationStatistics, collect_statistics
 from repro.storage.loaders import load_edge_list, load_csv_relation, relation_from_edges
 
 __all__ = [
     "AttributeStatistics",
     "Database",
-    "NodeTrieIndex",
-    "NodeTrieIterator",
     "Relation",
     "RelationStatistics",
     "TrieIndex",
     "TrieIterator",
     "ValueDictionary",
-    "ValueEncodingError",
     "collect_statistics",
     "load_csv_relation",
     "load_edge_list",

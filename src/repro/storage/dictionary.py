@@ -42,15 +42,6 @@ except ImportError:  # pragma: no cover
 HAVE_NUMPY = numpy is not None
 
 
-class ValueEncodingError(TypeError):
-    """A value cannot be dictionary-encoded (e.g. it is unhashable).
-
-    Raised by :meth:`ValueDictionary.encode`; executor construction catches
-    it, flips the database to the raw-object path and retries, so exotic
-    inputs degrade gracefully instead of failing the query.
-    """
-
-
 class ValueDictionary:
     """An append-only bidirectional value <-> dense-int-code table.
 
@@ -73,14 +64,12 @@ class ValueDictionary:
 
     # ---------------------------------------------------------------- encode
     def encode(self, value: object) -> int:
-        """The code of ``value``, appending a new entry for unseen values."""
-        try:
-            code = self._codes.get(value)
-        except TypeError as exc:
-            raise ValueEncodingError(
-                f"value {value!r} of type {type(value).__name__} cannot be "
-                f"dictionary-encoded (not hashable)"
-            ) from exc
+        """The code of ``value``, appending a new entry for unseen values.
+
+        Raises ``TypeError`` for unhashable values (relations reject those
+        before any index build reaches the dictionary).
+        """
+        code = self._codes.get(value)
         if code is None:
             code = len(self._values)
             self._codes[value] = code

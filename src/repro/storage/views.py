@@ -166,9 +166,8 @@ def shared_atom_index(
     """Get-or-build the shared index of ``kind`` for ``atom``'s view.
 
     ``build(view, order, dictionary)`` constructs the index from the
-    materialised view; ``dictionary`` is the database's shared value
-    dictionary when integer encoding is active (the index is then built in
-    code space) and ``None`` on the raw-object path.  The index is memoised
+    materialised view in the code space of ``dictionary``, the database's
+    shared value dictionary.  The index is memoised
     in the database's cache under the atom's name-erased signature, so
     repeated executor constructions — and different atoms inducing the same
     view, e.g. the three atoms of a triangle self-join — share one physical
@@ -180,7 +179,7 @@ def shared_atom_index(
     small, so per-construction builds stay cheap — the seed behaviour.
     """
     order = tuple(column_order)
-    dictionary = database.index_dictionary()
+    dictionary = database.dictionary
     if atom_has_constants(atom):
         return build(materialize_atom(database, atom), order, dictionary)
     return database.view_index(

@@ -176,20 +176,6 @@ class TestCacheAndInvalidation:
         )
         assert fresh.relation_versions != driver.relation_versions
 
-    def test_raw_storage_falls_back_interpreted(self):
-        raw = Database([Relation("E", ("a", "b"), _edges())], encode=False)
-        engine = QueryEngine(raw)
-        result = engine.count(cycle_query(3), algorithm="lftj")
-        assert result.metadata["compiled"] is False
-        assert "raw storage" in result.metadata["compiled_reason"]
-        assert result.metadata["compiled_builds"] == 0
-
-    def test_disable_encoding_clears_compiled_cache(self, engine, database):
-        engine.count(cycle_query(3), algorithm="lftj")
-        assert database.compiled_cache_size() == 1
-        database.disable_encoding()
-        assert database.compiled_cache_size() == 0
-
 
 class TestPrepared:
     def test_prepared_holds_and_refreshes_compiled_handle(self, engine, database):

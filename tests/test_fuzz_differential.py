@@ -4,12 +4,11 @@ A seeded generator produces random conjunctive queries over random small
 relations with mixed str/int column domains, then asserts that all five
 registered serial algorithms *and* the pool-backed parallel configurations
 (morsel and static scheduling, thread and fork backends) produce exactly the
-brute-force oracle's result set — on the encoded and the raw storage path,
-and optionally after a random insert/delete stream.
+brute-force oracle's result set, before and optionally after a random
+insert/delete stream.
 
 The compiled-driver configurations (lftj/clftj/plftj/pclftj with
-``compile=True``, serial
-and parallel, over both storage paths) are additionally checked *ordered and
+``compile=True``, serial and parallel) are additionally checked *ordered and
 byte-identical* against their interpreted twins (``compile=False``), and the
 serial pair must report identical instrumentation counters.
 
@@ -42,8 +41,9 @@ SERIAL_ALGORITHMS = ("lftj", "clftj", "ytd", "generic_join", "pairwise")
 
 #: Compiled configurations per instance: (algorithm, extra engine kwargs).
 #: Each runs twice — compiled and interpreted — and must agree byte for
-#: byte; on raw storage the compiled executor falls back to the interpreted
-#: loop, which keeps the comparison meaningful on both paths.
+#: byte; after an update stream leaves deltas pending the compiled executor
+#: falls back to the interpreted loop, which keeps the comparison meaningful
+#: either way.
 COMPILED_CONFIGS = (
     ("lftj", {}),
     ("lftj", {"parallel": 3, "parallel_backend": "threads"}),
@@ -90,7 +90,7 @@ BASE_ITERATIONS = 8
 FUZZ_ITERATIONS = max(int(os.environ.get("REPRO_FUZZ_ITERS", "0")), BASE_ITERATIONS)
 
 #: Column domain classes.  Per-column domains stay homogeneous (a single
-#: mixed column would not even sort on the raw path); the *query* still
+#: mixed column would not even sort inside a ``Relation``); the *query* still
 #: joins across classes because different relations mix them per column.
 INT_DOMAIN = tuple(range(9))
 STR_DOMAIN = tuple(f"v{index:02d}" for index in range(11))
@@ -118,8 +118,8 @@ def _random_relations(rng):
 def _random_query(rng, schemas):
     """A connected random conjunctive query over the generated schemas.
 
-    Variables are typed by domain class so a join never compares int against
-    str (which the raw-object path could not even order).  Each atom after
+    Variables are typed by domain class so a join never equates int with
+    str values.  Each atom after
     the first reuses at least one existing variable of a matching class when
     any column admits one, keeping the query connected.  Constants and
     repeated variables appear with small probability.
@@ -252,26 +252,21 @@ def _fuzz_one(seed):
     relations, schemas = _random_relations(rng)
     query = _random_query(rng, schemas)
 
-    def build(encode):
-        return Database(
-            [Relation(rel.name, rel.attributes, rel.tuples) for rel in relations],
-            name=f"fuzz-{seed}-{'enc' if encode else 'raw'}",
-            encode=encode,
-        )
-
-    for encode in (True, False):
-        database = build(encode)
-        try:
-            expected = brute_force_evaluate(query, database)
-            _check_all_agree(query, database, expected)
-            _check_compiled_agrees(query, database, expected)
-            if rng.random() < 0.5:
-                _random_update_stream(rng, database, schemas)
-                updated = brute_force_evaluate(query, database)
-                _check_all_agree(query, database, updated)
-                _check_compiled_agrees(query, database, updated)
-        finally:
-            database.close_pools()
+    database = Database(
+        [Relation(rel.name, rel.attributes, rel.tuples) for rel in relations],
+        name=f"fuzz-{seed}",
+    )
+    try:
+        expected = brute_force_evaluate(query, database)
+        _check_all_agree(query, database, expected)
+        _check_compiled_agrees(query, database, expected)
+        if rng.random() < 0.5:
+            _random_update_stream(rng, database, schemas)
+            updated = brute_force_evaluate(query, database)
+            _check_all_agree(query, database, updated)
+            _check_compiled_agrees(query, database, updated)
+    finally:
+        database.close_pools()
 
 
 @pytest.mark.parametrize("seed", range(FUZZ_ITERATIONS))

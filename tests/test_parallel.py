@@ -4,10 +4,10 @@ contract + thread-safety audits.
 Three suites:
 
 * **Differential** — every parallel configuration (backend x inner algorithm
-  x encoded/raw x worker count, prime counts and empty ranges included) must
-  produce exactly the serial executor's count and row set.
+  x worker count, prime counts and empty ranges included) must produce
+  exactly the serial executor's count and row set.
 * **Bounded cursors** — regression tests pinning the
-  :class:`~repro.storage.trie.BoundedTrieIterator` contract on all three
+  :class:`~repro.storage.trie.BoundedTrieIterator` contract on both
   cursor classes: a range-bounded seek at the top trie level must never leak
   keys outside ``[lo, hi)``, not even after ``up()``/``next()`` across level
   boundaries, and not around tombstones sitting exactly at range edges.
@@ -28,12 +28,7 @@ from repro.query.parser import parse_query
 from repro.query.patterns import cycle_query, path_query
 from repro.storage.database import Database
 from repro.storage.relation import Relation
-from repro.storage.trie import (
-    BoundedTrieIterator,
-    LsmTrieIndex,
-    NodeTrieIndex,
-    TrieIndex,
-)
+from repro.storage.trie import BoundedTrieIterator, LsmTrieIndex, TrieIndex
 
 from tests.conftest import brute_force_evaluate, random_edge_database
 
@@ -42,9 +37,9 @@ INNER_ALGORITHMS = ("lftj", "generic_join")
 WORKER_COUNTS = (1, 2, 4, 7)
 
 
-def _edge_database(encode: bool) -> Database:
+def _edge_database() -> Database:
     base = random_edge_database(num_nodes=18, num_edges=55, seed=23)
-    return Database(list(base), name=f"par-{'enc' if encode else 'raw'}", encode=encode)
+    return Database(list(base), name="par")
 
 
 def _query_order_rows(result, query):
@@ -54,10 +49,11 @@ def _query_order_rows(result, query):
     return [tuple(row[p] for p in positions) for row in result.rows]
 
 
-@pytest.fixture(scope="module", params=[True, False], ids=["encoded", "raw"])
-def engine_and_serial(request):
-    """One engine per encoding mode plus the serial triangle baseline."""
-    database = _edge_database(request.param)
+@pytest.fixture(scope="module", params=["encoded"])
+def engine_and_serial():
+    """One engine over the dictionary-encoded storage plus the serial
+    triangle baseline."""
+    database = _edge_database()
     engine = QueryEngine(database)
     query = cycle_query(3)
     serial = {
@@ -143,7 +139,7 @@ class TestDifferential:
             assert result.count == serial.count
 
     def test_parallel_agrees_with_brute_force(self):
-        database = _edge_database(encode=True)
+        database = _edge_database()
         engine = QueryEngine(database)
         query = parse_query("E(x, y), E(y, z), E(x, z)", name="tri-dag")
         expected = brute_force_evaluate(query, database)
@@ -152,10 +148,9 @@ class TestDifferential:
             assert set(_query_order_rows(result, query)) == expected
 
     def test_count_only_parallel_runs_never_decode(self):
-        database = _edge_database(encode=True)
+        database = _edge_database()
         engine = QueryEngine(database)
         result = engine.count(cycle_query(3), algorithm="plftj", parallel=4)
-        assert result.metadata["encoded"] is True
         assert database.dictionary.decodes == 0
 
     def test_plftj_registered_and_runs(self, engine_and_serial):
@@ -271,7 +266,7 @@ class TestParameterSurface:
         database.close_pools()
 
     def test_auto_worker_count_scales_with_work(self):
-        database = _edge_database(encode=True)
+        database = _edge_database()
         engine = QueryEngine(database)
         query = path_query(5)
         workers = engine.selector.recommend_workers(
@@ -284,7 +279,7 @@ class TestParameterSurface:
         assert morsels >= workers
 
     def test_recommended_workers_never_exceed_available(self):
-        database = _edge_database(encode=True)
+        database = _edge_database()
         engine = QueryEngine(database)
         query = path_query(5)
         assert (
@@ -310,7 +305,7 @@ class TestParameterSurface:
         """explain() on a cold database must not grow the dictionary, and
         its degenerate no-index partition plan must not be memoised — the
         next execution re-plans with real bounds and explain then agrees."""
-        database = _edge_database(encode=True)
+        database = _edge_database()
         engine = QueryEngine(database)
         query = cycle_query(3)
         assert len(database.dictionary) == 0
@@ -329,7 +324,7 @@ class TestParameterSurface:
 
 class TestPartitionPlanner:
     def _database(self):
-        return _edge_database(encode=True)
+        return _edge_database()
 
     def test_ranges_tile_the_key_space(self):
         database = self._database()
@@ -360,13 +355,17 @@ class TestPartitionPlanner:
         """A hub carrying most of the mass gets a shard of its own."""
         rows = [(0, target) for target in range(1, 60)]  # hub node 0
         rows += [(source, source + 1) for source in range(1, 6)]
-        database = Database([Relation("E", ("s", "t"), rows)], name="skew", encode=False)
+        database = Database([Relation("E", ("s", "t"), rows)], name="skew")
         query = cycle_query(3)
+        QueryEngine(database).count(query)  # encode the domain
         plan = PartitionPlanner(database).plan(query, query.variables, 2)
         assert plan.source == "statistics"
-        # All of node 0's weight lands in shard 0; the cut sits right above it.
+        # All of node 0's weight lands in shard 0; the cut sits right above
+        # it, at the next key in code order.
+        code_of = database.dictionary.code_of
         assert plan.weights[0] >= plan.weights[1]
-        assert plan.bounds[0] == 1
+        assert code_of(1) == code_of(0) + 1
+        assert plan.bounds[0] == code_of(1)
 
     def test_constant_bearing_atoms_still_partition(self):
         """Base-relation frequencies overapproximate a selected view's
@@ -400,13 +399,16 @@ class TestPartitionPlanner:
 
     def test_small_domains_pad_with_empty_shards(self):
         rows = [(1, 2), (2, 3), (3, 1)]
-        database = Database([Relation("E", ("s", "t"), rows)], name="tiny", encode=False)
+        database = Database([Relation("E", ("s", "t"), rows)], name="tiny")
         query = cycle_query(3)
+        QueryEngine(database).count(query)  # encode the domain
         plan = PartitionPlanner(database).plan(query, query.variables, 7)
         assert plan.num_shards == 7
         bounds = list(plan.bounds)
         assert bounds == sorted(bounds)
         assert len(bounds) == 6  # padded; duplicates make empty shards
+        codes = {database.dictionary.code_of(value) for value in (1, 2, 3)}
+        assert set(bounds) <= codes
 
 
 # ---------------------------------------------------------------------------
@@ -453,17 +455,15 @@ def _walk_with_descents(iterator):
 
 def _cursor_factories():
     columnar = TrieIndex.from_tuples(ROWS)
-    nodes = NodeTrieIndex.from_tuples(ROWS)
     lsm = LsmTrieIndex(TrieIndex.from_tuples(ROWS))
     lsm.apply_delta(inserted=[(4, 40)], deleted=[(3, 30)])
     return {
         "TrieIterator": (columnar.iterator, [1, 3, 5, 7, 9]),
-        "NodeTrieIterator": (nodes.iterator, [1, 3, 5, 7, 9]),
         "MergedTrieIterator": (lsm.iterator, [1, 4, 5, 7, 9]),
     }
 
 
-@pytest.mark.parametrize("cursor", ["TrieIterator", "NodeTrieIterator", "MergedTrieIterator"])
+@pytest.mark.parametrize("cursor", ["TrieIterator", "MergedTrieIterator"])
 class TestBoundedCursorContract:
     def test_next_walk_stays_in_range(self, cursor):
         factory, keys = _cursor_factories()[cursor]
@@ -593,7 +593,7 @@ def _run_threads(worker, count):
 class TestThreadSafety:
     def test_concurrent_index_cache_fills_build_once(self):
         """The database lock makes the duplicate-build race window zero."""
-        database = _edge_database(encode=True)
+        database = _edge_database()
         built = []
 
         def worker(_index):
@@ -605,7 +605,7 @@ class TestThreadSafety:
         assert all(index is built[0] for index in built)
 
     def test_concurrent_view_index_fills_across_kinds(self):
-        database = _edge_database(encode=True)
+        database = _edge_database()
         engine = QueryEngine(database)
         query = cycle_query(3)
 
@@ -622,7 +622,7 @@ class TestThreadSafety:
 
     @pytest.mark.parametrize("algorithm", ["lftj", "generic_join", "clftj"])
     def test_concurrent_prepared_executions(self, algorithm):
-        database = _edge_database(encode=True)
+        database = _edge_database()
         engine = QueryEngine(database)
         query = cycle_query(3)
         serial = engine.count(query, algorithm=algorithm).count
@@ -638,7 +638,7 @@ class TestThreadSafety:
         assert prepared.executions == 18
 
     def test_concurrent_parallel_executions_of_one_prepared_handle(self):
-        database = _edge_database(encode=True)
+        database = _edge_database()
         engine = QueryEngine(database)
         query = cycle_query(3)
         serial = engine.count(query, algorithm="lftj").count
@@ -668,7 +668,7 @@ class TestForkSafety:
         from repro.engine.parallel import MorselSpec, _run_morsel
         from repro.engine.pool import MorselTask, reinitialise_child_locks
 
-        database = _edge_database(encode=True)
+        database = _edge_database()
         engine = QueryEngine(database)
         query = cycle_query(3)
         serial = engine.count(query, algorithm="lftj").count
@@ -703,7 +703,7 @@ class TestForkSafety:
 
 class TestPreparedParallel:
     def test_prepared_parallel_reexecutes_warm(self):
-        database = _edge_database(encode=True)
+        database = _edge_database()
         engine = QueryEngine(database)
         query = cycle_query(3)
         serial = engine.count(query, algorithm="lftj").count
@@ -719,7 +719,7 @@ class TestPreparedParallel:
 
     def test_parallel_runs_leave_clftj_warm_caches_alone(self):
         """Parallel traffic must not disturb a clftj handle's adhesion cache."""
-        database = _edge_database(encode=True)
+        database = _edge_database()
         engine = QueryEngine(database)
         query = path_query(4)
         cached = engine.prepare(query, algorithm="clftj")

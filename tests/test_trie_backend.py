@@ -1,5 +1,8 @@
-"""Columnar trie backend: differential tests against the reference node
-backend, shared-index-cache semantics, and cross-algorithm agreement."""
+"""Columnar trie: enumeration against a sorted-tuple reference,
+shared-index-cache semantics, and cross-algorithm agreement.
+
+The model-based random walk over the iterator protocol (keys, errors and
+operation counters) lives in ``tests/test_trie_properties.py``."""
 
 import random
 
@@ -7,15 +10,13 @@ import pytest
 
 from repro.baselines.generic_join import GenericJoin
 from repro.core.clftj import CachedLeapfrogTrieJoin
-from repro.core.instrumentation import OperationCounter
 from repro.core.lftj import LeapfrogTrieJoin
 from repro.decomposition.generic import generic_decompose
 from repro.engine.engine import QueryEngine
 from repro.query.parser import parse_query
 from repro.query.patterns import cycle_query, path_query, star_query
-from repro.storage.database import Database
 from repro.storage.relation import Relation
-from repro.storage.trie import NodeTrieIndex, TrieIndex
+from repro.storage.trie import TrieIndex
 from repro.storage.views import atom_signature, atom_trie
 
 from tests.conftest import brute_force_count, brute_force_evaluate, random_edge_database
@@ -48,7 +49,7 @@ def _enumerate(index) -> list:
     return results
 
 
-class TestColumnarMatchesNodeBackend:
+class TestColumnarEnumeration:
     @pytest.mark.parametrize("arity,rows,domain,seed", [
         (1, 30, 10, 0),
         (2, 50, 8, 1),
@@ -60,59 +61,18 @@ class TestColumnarMatchesNodeBackend:
         relation = _random_relation(random.Random(seed), arity, rows, domain)
         order = tuple(random.Random(seed + 100).sample(range(arity), arity))
         columnar = TrieIndex.build(relation, order)
-        nodes = NodeTrieIndex.build(relation, order)
-        assert _enumerate(columnar) == _enumerate(nodes)
-        assert columnar.tuple_count() == nodes.tuple_count()
-        assert len(columnar) == len(nodes)
+        expected = sorted({tuple(row[i] for i in order) for row in relation.tuples})
+        assert _enumerate(columnar) == expected
+        assert columnar.tuple_count() == len(expected)
+        assert len(columnar) == len({row[0] for row in expected})
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_random_walks_identical_including_counters(self, seed):
-        """Identical operation sequences give identical keys AND identical
-        memory-access accounting on both backends."""
-        rng = random.Random(seed)
-        relation = _random_relation(rng, 3, 80, 5)
-        col_counter, node_counter = OperationCounter(), OperationCounter()
-        col = TrieIndex.build(relation, (0, 1, 2)).iterator(col_counter)
-        node = NodeTrieIndex.build(relation, (0, 1, 2)).iterator(node_counter)
-
-        def step(action, argument=None):
-            outcomes = []
-            for iterator in (col, node):
-                try:
-                    result = getattr(iterator, action)(*([argument] if argument is not None else []))
-                    outcomes.append(("ok", result))
-                except RuntimeError:
-                    outcomes.append(("error", None))
-            assert outcomes[0] == outcomes[1], f"divergence on {action}({argument})"
-            return outcomes[0]
-
-        for _ in range(400):
-            choice = rng.random()
-            if choice < 0.35:
-                step("open")
-            elif choice < 0.5:
-                step("up")
-            elif choice < 0.7:
-                step("next")
-            elif choice < 0.9:
-                step("seek", rng.randint(0, 6))
-            else:
-                status, _ = step("at_end")
-                if status == "ok":
-                    step("key")
-            assert col.depth == node.depth
-            if col.depth:
-                assert col.current_prefix() == node.current_prefix()
-        assert col_counter.as_dict() == node_counter.as_dict()
-
-    def test_empty_relation_both_backends(self):
+    def test_empty_relation(self):
         empty = Relation("E", ("a", "b"), [])
-        for cls in (TrieIndex, NodeTrieIndex):
-            iterator = cls.build(empty, (0, 1)).iterator()
+        iterator = TrieIndex.build(empty, (0, 1)).iterator()
+        iterator.open()
+        assert iterator.at_end()
+        with pytest.raises(RuntimeError):
             iterator.open()
-            assert iterator.at_end()
-            with pytest.raises(RuntimeError):
-                iterator.open()
 
     def test_level_sizes(self):
         trie = TrieIndex.from_tuples([(1, 2), (1, 3), (2, 2)])
@@ -209,18 +169,9 @@ class TestSharedIndexCache:
         for left, right in zip(first._indexes, second._indexes):
             assert left is right
 
-    def test_node_backend_bypasses_the_cache(self, small_graph_db):
-        small_graph_db.clear_index_cache()
-        LeapfrogTrieJoin(cycle_query(3), small_graph_db, trie_backend="nodes")
-        assert small_graph_db.index_cache_size() == 0
-
-    def test_unknown_backend_rejected(self, small_graph_db):
-        with pytest.raises(ValueError):
-            LeapfrogTrieJoin(cycle_query(3), small_graph_db, trie_backend="mmap")
-
 
 class TestBackendAgreement:
-    """LFTJ / CLFTJ / GenericJoin agree on the columnar backend."""
+    """LFTJ / CLFTJ / GenericJoin agree with the brute-force oracle."""
 
     QUERIES = [
         lambda: cycle_query(3),
@@ -260,22 +211,3 @@ class TestBackendAgreement:
         assert rows(GenericJoin(query, database)) == expected
         decomposition = generic_decompose(query)
         assert rows(CachedLeapfrogTrieJoin(query, database, decomposition)) == expected
-
-    def test_node_and_columnar_backends_agree_operation_for_operation(self, small_graph_db):
-        """On the raw-object path both backends report identical op counts.
-
-        (The encoded columnar path intentionally diverges: its batched
-        deepest-level kernel records block-scan accesses instead of per-key
-        rotations, so the comparison is made in raw mode — the reference
-        regime the nodes backend lives in.)
-        """
-        query = cycle_query(4)
-        raw_db = Database(list(small_graph_db), name="raw", encode=False)
-        col_counter, node_counter = OperationCounter(), OperationCounter()
-        col = LeapfrogTrieJoin(query, raw_db, counter=col_counter).count()
-        node = LeapfrogTrieJoin(
-            query, raw_db, counter=node_counter, trie_backend="nodes"
-        ).count()
-        assert col == node
-        assert col == LeapfrogTrieJoin(query, small_graph_db).count()
-        assert col_counter.as_dict() == node_counter.as_dict()

@@ -293,10 +293,12 @@ def _command_run(args: argparse.Namespace) -> int:
     mutated_relation = query.atoms[0].relation if args.mutate else None
     results = []
     builds_after_warmup = None
+    codegens_after_warmup = None
     for repeat in range(max(args.repeat, 1)):
         if args.mutate and repeat > 0:
             if builds_after_warmup is None:
                 builds_after_warmup = database.index_builds
+                codegens_after_warmup = database.compiled_codegens
             inserted = _mutate_relation(database, mutated_relation, args.mutate, rng)
             print(f"mutated {mutated_relation}: +{inserted} rows "
                   f"(version {database.relation_version(mutated_relation)})")
@@ -313,7 +315,10 @@ def _command_run(args: argparse.Namespace) -> int:
             print(
                 f"updates: index_patches={database.index_patches} "
                 f"index_compactions={database.index_compactions} "
-                f"rebuilds_after_updates={database.index_builds - builds_after_warmup}"
+                f"rebuilds_after_updates={database.index_builds - builds_after_warmup} "
+                f"codegen_after_updates="
+                f"{database.compiled_codegens - codegens_after_warmup} "
+                f"compiled={bool(last.metadata.get('compiled'))}"
             )
     if args.mode == "evaluate" and args.show_rows:
         result = results[-1]

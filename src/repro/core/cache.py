@@ -55,6 +55,23 @@ def affected_cache_nodes(decomposition, query, changed_relations) -> FrozenSet[i
     return frozenset(affected)
 
 
+def _entry_bytes(key: CacheKey, value: object) -> int:
+    """The bytes one cache entry is charged in :meth:`AdhesionCache.memory_estimate`.
+
+    Count-mode entries are measured directly; evaluation-mode entries hold
+    :class:`~repro.core.factorized.FactorizedNode` trees, whose
+    ``memory_entries()`` proxy is charged a flat 32 bytes per stored entry
+    (a key/children pair in a Python list).  Deterministic per (key, value)
+    — cached factorised nodes are never mutated after ``put`` — so the same
+    charge is added on insertion and subtracted on removal.
+    """
+    total = sys.getsizeof(key) + sum(sys.getsizeof(component) for component in key[1])
+    memory_entries = getattr(value, "memory_entries", None)
+    if memory_entries is not None:
+        return total + 32 * memory_entries()
+    return total + sys.getsizeof(value)
+
+
 class AdhesionCache:
     """Store of cached intermediate results, optionally bounded.
 
@@ -81,6 +98,9 @@ class AdhesionCache:
         #: representations).  Bound on first use; guards against mixing.
         self.content_mode: Optional[str] = None
         self._entries: "OrderedDict[CacheKey, object]" = OrderedDict()
+        #: Running sum of :func:`_entry_bytes` over the stored entries, kept
+        #: on every put/evict/invalidate so ``memory_estimate`` is O(1).
+        self._entry_bytes_total = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -135,13 +155,18 @@ class AdhesionCache:
         """
         key = (node, adhesion_values)
         if key in self._entries:
+            self._entry_bytes_total += _entry_bytes(key, value) - _entry_bytes(
+                key, self._entries[key]
+            )
             self._entries[key] = value
             if self.eviction == "lru":
                 self._entries.move_to_end(key)
             return True
         if self.capacity is not None and len(self._entries) >= self.capacity:
             if self.eviction == "lru" and self.capacity > 0:
-                self._entries.popitem(last=False)
+                self._entry_bytes_total -= _entry_bytes(
+                    *self._entries.popitem(last=False)
+                )
                 if self.counter is not None:
                     self.counter.record_cache_eviction()
             else:
@@ -149,6 +174,7 @@ class AdhesionCache:
                     self.counter.record_cache_rejection()
                 return False
         self._entries[key] = value
+        self._entry_bytes_total += _entry_bytes(key, value)
         if self.counter is not None:
             self.counter.record_cache_insertion()
         return True
@@ -158,11 +184,9 @@ class AdhesionCache:
         if node is None:
             dropped = len(self._entries)
             self._entries.clear()
+            self._entry_bytes_total = 0
             return dropped
-        keys = [key for key in self._entries if key[0] == node]
-        for key in keys:
-            del self._entries[key]
-        return len(keys)
+        return self.invalidate_nodes((node,))
 
     def invalidate_nodes(self, nodes: Iterable[int]) -> int:
         """Drop the entries of several nodes at once; returns how many.
@@ -177,7 +201,7 @@ class AdhesionCache:
             return 0
         keys = [key for key in self._entries if key[0] in targets]
         for key in keys:
-            del self._entries[key]
+            self._entry_bytes_total -= _entry_bytes(key, self._entries.pop(key))
         return len(keys)
 
     def keys(self) -> Iterable[CacheKey]:
@@ -194,23 +218,11 @@ class AdhesionCache:
     def memory_estimate(self) -> int:
         """Estimated bytes held by the cached entries (keys and values).
 
-        Count-mode entries are measured directly; evaluation-mode entries
-        hold :class:`~repro.core.factorized.FactorizedNode` trees, whose
-        ``memory_entries()`` proxy is charged a flat 32 bytes per stored
-        entry (a key/children pair in a Python list).  An observability
-        figure, not an allocator audit.
+        O(1): the per-entry charges (:func:`_entry_bytes`) are summed as
+        entries come and go, and only the container itself is measured at
+        read time.  An observability figure, not an allocator audit.
         """
-        total = sys.getsizeof(self._entries)
-        for (node, values), value in self._entries.items():
-            total += sys.getsizeof((node, values)) + sum(
-                sys.getsizeof(component) for component in values
-            )
-            memory_entries = getattr(value, "memory_entries", None)
-            if memory_entries is not None:
-                total += 32 * memory_entries()
-            else:
-                total += sys.getsizeof(value)
-        return total
+        return sys.getsizeof(self._entries) + self._entry_bytes_total
 
     def __repr__(self) -> str:
         bound = self.capacity if self.capacity is not None else "unbounded"

@@ -11,8 +11,8 @@ database's compiled-driver cache under the name-erased query signature.
 
 What the generated driver does differently from the interpreter:
 
-* trie cursors disappear — the driver captures each atom's flat trie
-  columns (key arrays, numpy views, child-range arrays) at compile time and
+* trie cursors disappear — the driver receives each atom's flat trie
+  columns (key arrays, numpy views, child-range arrays) as an argument and
   navigates with plain array indexing, so there are no ``open``/``up``/
   ``advance_to`` method calls on the hot path;
 * the batched kernels (:func:`~repro.core.leapfrog.run_intersect`,
@@ -32,13 +32,26 @@ What the generated driver does differently from the interpreter:
   ``[lo, hi)`` code range over the top variable, so every ``plftj`` shard
   reuses one compiled driver parameterized by its range.
 
-Because the driver holds direct references to trie columns, it is only
-valid while those columns are current: the database drops cached drivers on
-relation replacement, inserts/deletes *and* delta compaction (compaction
-swaps the backing arrays without a version bump).  Queries whose tries
-carry unmerged deltas fall back to the interpreted path — which is also
-kept, behind ``compile=False``, as the differential oracle for the compiled
-results.
+A compiled driver has two halves:
+
+* the **program** (:class:`DriverProgram`) — the generated sources and the
+  functions compiled from them.  It depends only on the query shape, the
+  variable order (and, for CLFTJ, the decomposition), which trie levels
+  carry numpy views and the kernel crossover; the generated code reads
+  everything data-dependent (columns, root run lengths, the prologue-hoist
+  memo) from its arguments at call time.  Programs live in the database's
+  program cache (:meth:`~repro.storage.database.Database.compiled_program`),
+  which survives inserts, deletes and compaction;
+* the **binding** (:class:`CompiledDriver` / :class:`CompiledClftjDriver`)
+  — a program plus the current trie columns, the relation versions they
+  reflect and a per-binding hoist memo.  Bindings are version-keyed: the
+  database drops them on relation replacement, inserts/deletes *and* delta
+  compaction (compaction swaps the backing arrays without a version bump).
+
+A write therefore costs a rebind — a cache lookup and a tuple of column
+references — not a code generation.  Queries whose tries carry unmerged
+deltas fall back to the interpreted path — which is also kept, behind
+``compile=False``, as the differential oracle for the compiled results.
 
 The generated source is inspectable: ``CompiledTrieJoin.debug_source()``
 (or ``CompiledDriver.debug_source``) returns it verbatim.
@@ -128,8 +141,9 @@ def driver_cache_key(
     Two queries that differ only in variable/query names share a key — and
     correctly share a driver, because the signature pins the relations,
     constants and join structure, and the order positions pin the loop
-    nesting.  The key deliberately omits data versions: the database's
-    compiled cache drops entries on any mutation of an involved relation.
+    nesting.  The key deliberately omits data versions: the database drops
+    driver *bindings* on any mutation of an involved relation, while the
+    program behind them stays cached under :func:`program_cache_key`.
 
     CLFTJ drivers additionally pin the (contracted) decomposition shape —
     probe/store sites are unrolled per node, so two decompositions of one
@@ -144,6 +158,18 @@ def driver_cache_key(
     if decomposition is not None:
         key += ("clftj", decomposition_fingerprint(decomposition, variable_order))
     return key
+
+
+def program_cache_key(
+    key: Tuple[object, ...], view_masks: Sequence[Tuple[bool, ...]]
+) -> Tuple[object, ...]:
+    """The program-cache key: driver key + numpy-view mask + crossover.
+
+    The generated code differs by which trie levels carry numpy views
+    (empty levels have none) and by the two-run kernel crossover baked into
+    it; nothing else about the data reaches the source.
+    """
+    return key + (tuple(view_masks), leapfrog.KERNEL_CROSSOVER)
 
 
 def _pure_main(trie) -> Optional[TrieIndex]:
@@ -179,48 +205,88 @@ def _atom_bundle(base: TrieIndex) -> Tuple[object, ...]:
     return tuple(parts)
 
 
+def _view_mask(base: TrieIndex) -> Tuple[bool, ...]:
+    """Which levels of ``base`` carry a numpy view (empty levels never do)."""
+    np_keys = base._np_keys
+    return tuple(
+        np_keys is not None and np_keys[level] is not None
+        for level in range(base.depth)
+    )
+
+
+@dataclass(frozen=True)
+class DriverProgram:
+    """The data-independent half of a compiled driver.
+
+    Generated sources plus the functions ``compile()``-d from them, keyed in
+    the database's program cache by :func:`program_cache_key`.  For CLFTJ,
+    ``probed_nodes`` lists the decomposition nodes whose cache probes are
+    unrolled into the code.
+    """
+
+    sources: Dict[str, str]
+    functions: Dict[str, Callable]
+    crossover: int
+    probed_nodes: Tuple[int, ...] = ()
+
+
 @dataclass
-class CompiledDriver:
-    """One compiled (count + evaluate) driver over captured trie columns."""
+class _DriverBinding:
+    """A :class:`DriverProgram` bound to one version of the trie columns."""
 
     key: Tuple[object, ...]
     query_name: str
     variable_names: Tuple[str, ...]
     relation_versions: Dict[str, int]
-    crossover: int
+    program: DriverProgram
     _columns: Tuple[Tuple[object, ...], ...]
-    _sources: Dict[str, str]
-    _functions: Dict[str, Callable]
+    #: Prologue-hoist memo: structures derived only from ``_columns``,
+    #: built by the first call and reused by later calls (every shard of a
+    #: parallel execution) on this binding — never across bindings.
+    _hoist: Dict[str, object] = field(default_factory=dict)
 
-    def count(self, counter: OperationCounter, lo=None, hi=None, deadline=None) -> int:
-        """Run the generated count loop over codes in ``[lo, hi)``."""
-        return self._functions["count"](self._columns, counter, lo, hi, deadline)
-
-    def evaluate(self, counter: OperationCounter, lo=None, hi=None, deadline=None):
-        """Yield coded result rows (variable-order positions) in ``[lo, hi)``."""
-        return self._functions["evaluate"](self._columns, counter, lo, hi, deadline)
+    @property
+    def crossover(self) -> int:
+        """The two-run kernel crossover baked into the program."""
+        return self.program.crossover
 
     def debug_source(self, mode: str = "count") -> str:
-        """The generated Python source for ``mode`` (``count``/``evaluate``)."""
-        if mode not in self._sources:
+        """The generated Python source for ``mode``."""
+        sources = self.program.sources
+        if mode not in sources:
             raise ValueError(
-                f"unknown driver mode {mode!r}; choose one of "
-                f"{tuple(self._sources)}"
+                f"unknown driver mode {mode!r}; choose one of {tuple(sources)}"
             )
-        return self._sources[mode]
+        return sources[mode]
 
     def matches(self, database: Database) -> bool:
         """Is this driver still current for ``database``?
 
         Version-keyed: any replacement, insert/delete or compaction of an
-        involved relation bumps (or re-bases) state the captured columns no
+        involved relation bumps (or re-bases) state the bound columns no
         longer reflect, and the database has then already dropped the
-        cached entry — this check lets long-lived holders (prepared
+        cached binding — this check lets long-lived holders (prepared
         queries) notice without consulting the cache.
         """
         return all(
             database.relation_version(name) == version
             for name, version in self.relation_versions.items()
+        )
+
+
+class CompiledDriver(_DriverBinding):
+    """One compiled (count + evaluate) LFTJ driver bound to trie columns."""
+
+    def count(self, counter: OperationCounter, lo=None, hi=None, deadline=None) -> int:
+        """Run the generated count loop over codes in ``[lo, hi)``."""
+        return self.program.functions["count"](
+            self._columns, self._hoist, counter, lo, hi, deadline
+        )
+
+    def evaluate(self, counter: OperationCounter, lo=None, hi=None, deadline=None):
+        """Yield coded result rows (variable-order positions) in ``[lo, hi)``."""
+        return self.program.functions["evaluate"](
+            self._columns, self._hoist, counter, lo, hi, deadline
         )
 
 
@@ -241,7 +307,7 @@ class _Codegen:
     def __init__(
         self,
         atom_depths: Sequence[Tuple[int, ...]],
-        bundles: Sequence[Tuple[object, ...]],
+        view_masks: Sequence[Tuple[bool, ...]],
         mode: str,
     ) -> None:
         self.atom_depths = tuple(atom_depths)
@@ -249,7 +315,6 @@ class _Codegen:
             depth for depths in atom_depths for depth in depths
         )
         self.mode = mode
-        self.bundles = tuple(bundles)
         self.lines: List[str] = []
         # Participants per depth: (atom, level) pairs in atom order.
         self.participants: List[List[Tuple[int, int]]] = [
@@ -259,15 +324,13 @@ class _Codegen:
             for level, depth in enumerate(depths):
                 self.participants[depth].append((atom, level))
         # Compile-time knowledge of which numpy views exist, per (atom, level).
-        self.has_view: Dict[Tuple[int, int], bool] = {}
-        for atom, depths in enumerate(self.atom_depths):
-            bundle = self.bundles[atom]
-            offset = 0
-            for level in range(len(depths)):
-                self.has_view[(atom, level)] = bundle[offset + 1] is not None
-                offset += 4 if level + 1 < len(depths) else 2
+        self.has_view: Dict[Tuple[int, int], bool] = {
+            (atom, level): has_view
+            for atom, mask in enumerate(view_masks)
+            for level, has_view in enumerate(mask)
+        }
         #: Hoisted structures keyed by the depth whose loop body builds
-        #: them (``-1`` = prologue, cached across calls on the driver).
+        #: them (``-1`` = prologue, memoised per binding across calls).
         self.hoist_builds: Dict[int, List[Tuple[str, str]]] = {}
         #: Depths whose key must be bound to a local even in count mode
         #: (CLFTJ adhesion keys are built from them); empty for plain LFTJ.
@@ -416,7 +479,15 @@ class _Codegen:
     # ------------------------------------------------------------ generation
     def generate(self) -> str:
         name = "_count" if self.mode == "count" else "_evaluate"
-        self.emit(0, f"def {name}(columns, counter, lo=None, hi=None, deadline=None,")
+        self.emit_signature(f"{name}(columns, hoist, counter,")
+        self.prologue()
+        self.emit_depth(0, 1)
+        self.epilogue()
+        return "\n".join(self.lines) + "\n"
+
+    def emit_signature(self, head: str) -> None:
+        """The ``def`` line: call-time parameters, then pre-bound kernels."""
+        self.emit(0, f"def {head} lo=None, hi=None, deadline=None,")
         self.emit(
             0,
             "           _run_intersect=_run_intersect, _run_count=_run_count,",
@@ -424,12 +495,8 @@ class _Codegen:
         self.emit(
             0,
             "           _run_keys=_run_keys, _pair_count=_pair_count, "
-            "_np=_np, _bisect=_bisect, _hoist={}):",
+            "_np=_np, _bisect=_bisect):",
         )
-        self.prologue()
-        self.emit_depth(0, 1)
-        self.epilogue()
-        return "\n".join(self.lines) + "\n"
 
     def prologue(self) -> None:
         for atom, depths in enumerate(self.atom_depths):
@@ -457,12 +524,9 @@ class _Codegen:
         if self.mode == "count":
             self.emit(1, "total = 0")
         # Root runs of every atom are loop invariants of the whole function;
-        # lengths are compile-time constants of the captured columns.
+        # their lengths are read from the bound columns on every call.
         for atom in range(len(self.atom_depths)):
-            self.emit(
-                1,
-                f"lo{atom}_0 = 0; hi{atom}_0 = {len(self.bundles[atom][0])}",
-            )
+            self.emit(1, f"lo{atom}_0 = 0; hi{atom}_0 = len(K{atom}_0)")
         # The shard range restricts exactly the depth-0 intersection, like
         # BoundedTrieIterator does on the interpreted parallel path.
         clamped = self.participants[0]
@@ -472,14 +536,14 @@ class _Codegen:
         self.emit(1, "if hi is not None:")
         for atom, _level in clamped:
             self.emit(2, f"hi{atom}_0 = _bisect(K{atom}_0, hi, lo{atom}_0, hi{atom}_0)")
-        # Prologue hoists derive only from the captured (immutable) columns,
-        # so they are memoised on the function itself: every shard of a
-        # plftj execution reuses them instead of rebuilding per call.
+        # Prologue hoists derive only from the bound (immutable) columns,
+        # so they are memoised in the binding's ``hoist`` dict: every shard
+        # of a plftj execution reuses them instead of rebuilding per call.
         for name, expression in self.hoist_builds.get(-1, ()):
-            self.emit(1, f"{name} = _hoist.get({name!r})")
+            self.emit(1, f"{name} = hoist.get({name!r})")
             self.emit(1, f"if {name} is None:")
             self.emit(2, f"{name} = {expression}")
-            self.emit(2, f"_hoist[{name!r}] = {name}")
+            self.emit(2, f"hoist[{name!r}] = {name}")
 
     def epilogue(self) -> None:
         self.emit(1, "counter.trie_accesses += c_acc")
@@ -752,16 +816,14 @@ class _Codegen:
 
 def generate_source(
     atom_depths: Sequence[Tuple[int, ...]],
-    bundles: Sequence[Tuple[object, ...]],
+    view_masks: Sequence[Tuple[bool, ...]],
     mode: str,
 ) -> str:
     """Generate the specialized driver source for one mode."""
-    return _Codegen(atom_depths, bundles, mode).generate()
+    return _Codegen(atom_depths, view_masks, mode).generate()
 
 
-def _compile_function(
-    source: str, name: str, label: str, extra: Optional[Dict[str, object]] = None
-) -> Callable:
+def _compile_function(source: str, name: str, label: str) -> Callable:
     namespace = {
         "_run_intersect": run_intersect,
         "_run_count": run_count,
@@ -772,12 +834,21 @@ def _compile_function(
         "_monotonic": time.monotonic,
         "_TimeoutError": QueryTimeoutError,
     }
-    if extra:
-        namespace.update(extra)
     fault_point("compiler.exec")
     code = compile(source, f"<compiled-driver:{label}>", "exec")
     exec(code, namespace)
     return namespace[name]
+
+
+def _atom_depths(
+    variable_order: Sequence[Variable],
+    atom_variables: Sequence[Tuple[Variable, ...]],
+) -> Tuple[Tuple[int, ...], ...]:
+    depth_of = {variable: depth for depth, variable in enumerate(variable_order)}
+    return tuple(
+        tuple(depth_of[variable] for variable in ordered)
+        for ordered in atom_variables
+    )
 
 
 def compile_driver(
@@ -788,34 +859,42 @@ def compile_driver(
     pure_tries: Sequence[TrieIndex],
     key: Tuple[object, ...],
 ) -> CompiledDriver:
-    """Generate, ``exec``-compile and wrap both driver variants."""
-    depth_of = {variable: depth for depth, variable in enumerate(variable_order)}
-    atom_depths = tuple(
-        tuple(depth_of[variable] for variable in ordered)
-        for ordered in atom_variables
+    """Bind both driver variants to ``pure_tries``' current columns.
+
+    The program is fetched from the database's program cache; only a miss
+    generates and ``exec``-compiles the sources.
+    """
+    view_masks = tuple(_view_mask(base) for base in pure_tries)
+
+    def generate() -> DriverProgram:
+        atom_depths = _atom_depths(variable_order, atom_variables)
+        sources = {
+            mode: generate_source(atom_depths, view_masks, mode)
+            for mode in ("count", "evaluate")
+        }
+        return DriverProgram(
+            sources=sources,
+            functions={
+                "count": _compile_function(
+                    sources["count"], "_count", f"{query.name}:count"
+                ),
+                "evaluate": _compile_function(
+                    sources["evaluate"], "_evaluate", f"{query.name}:evaluate"
+                ),
+            },
+            crossover=leapfrog.KERNEL_CROSSOVER,
+        )
+
+    program = database.compiled_program(
+        program_cache_key(key, view_masks), query.relation_names, generate
     )
-    bundles = tuple(_atom_bundle(base) for base in pure_tries)
-    sources = {
-        mode: generate_source(atom_depths, bundles, mode)
-        for mode in ("count", "evaluate")
-    }
-    functions = {
-        "count": _compile_function(
-            sources["count"], "_count", f"{query.name}:count"
-        ),
-        "evaluate": _compile_function(
-            sources["evaluate"], "_evaluate", f"{query.name}:evaluate"
-        ),
-    }
     return CompiledDriver(
         key=key,
         query_name=query.name,
         variable_names=tuple(variable.name for variable in variable_order),
         relation_versions=database.relation_versions(query.relation_names),
-        crossover=leapfrog.KERNEL_CROSSOVER,
-        _columns=bundles,
-        _sources=sources,
-        _functions=functions,
+        program=program,
+        _columns=tuple(_atom_bundle(base) for base in pure_tries),
     )
 
 
@@ -899,13 +978,13 @@ class _ClftjCodegen(_Codegen):
     def __init__(
         self,
         atom_depths: Sequence[Tuple[int, ...]],
-        bundles: Sequence[Tuple[object, ...]],
+        view_masks: Sequence[Tuple[bool, ...]],
         shapes: Dict[int, _ClftjNodeShape],
         owner_at_depth: Tuple[int, ...],
     ) -> None:
         self.shapes = shapes
         self.owner_at_depth = owner_at_depth
-        super().__init__(atom_depths, bundles, "count")
+        super().__init__(atom_depths, view_masks, "count")
         self.probed: Tuple[_ClftjNodeShape, ...] = tuple(
             shapes[node]
             for node in dict.fromkeys(owner_at_depth)
@@ -924,20 +1003,7 @@ class _ClftjCodegen(_Codegen):
 
     # ------------------------------------------------------------ generation
     def generate(self) -> str:
-        self.emit(
-            0,
-            "def _count(columns, counter, cache, policy, "
-            "lo=None, hi=None, deadline=None,",
-        )
-        self.emit(
-            0,
-            "           _run_intersect=_run_intersect, _run_count=_run_count,",
-        )
-        self.emit(
-            0,
-            "           _run_keys=_run_keys, _pair_count=_pair_count, "
-            "_np=_np, _bisect=_bisect, _hoist={}):",
-        )
+        self.emit_signature("_count(columns, hoist, adhesion, counter, cache, policy,")
         self.prologue()
         self.emit_depth(0, 1)
         self.epilogue()
@@ -948,6 +1014,11 @@ class _ClftjCodegen(_Codegen):
         self.emit(
             1, "_cget = cache.get; _cput = cache.put; _should = policy.should_cache"
         )
+        if self.probed:
+            # The policy protocol receives each probed node's adhesion
+            # *variables*: the caller's own, passed per call in probe order.
+            names = ", ".join(f"_AV{shape.node}" for shape in self.probed)
+            self.emit(1, f"({names},) = adhesion")
         self.emit(1, "c_mat = 0")
         if self.probed:
             self.emit(
@@ -1048,61 +1119,43 @@ class _ClftjCodegen(_Codegen):
 
 def generate_clftj_source(
     atom_depths: Sequence[Tuple[int, ...]],
-    bundles: Sequence[Tuple[object, ...]],
+    view_masks: Sequence[Tuple[bool, ...]],
     shapes: Dict[int, _ClftjNodeShape],
     owner_at_depth: Tuple[int, ...],
 ) -> str:
     """Generate the specialized CLFTJ count-driver source."""
-    return _ClftjCodegen(atom_depths, bundles, shapes, owner_at_depth).generate()
+    return _ClftjCodegen(atom_depths, view_masks, shapes, owner_at_depth).generate()
 
 
-@dataclass
-class CompiledClftjDriver:
-    """One compiled CLFTJ count driver over captured trie columns.
+class CompiledClftjDriver(_DriverBinding):
+    """One compiled CLFTJ count driver bound to trie columns.
 
     Unlike :class:`CompiledDriver` the cache and policy stay *runtime*
     parameters: one driver serves every adhesion cache (serial, prepared,
-    per-worker) of its (query shape, decomposition, order) key.
+    per-worker) of its (query shape, decomposition, order) key.  So do the
+    adhesion variables handed to the policy — ``adhesion`` holds one tuple
+    per :attr:`probed_nodes` entry, in that order.
     """
 
-    key: Tuple[object, ...]
-    query_name: str
-    variable_names: Tuple[str, ...]
-    relation_versions: Dict[str, int]
-    crossover: int
-    probed_nodes: Tuple[int, ...]
-    _columns: Tuple[Tuple[object, ...], ...]
-    _sources: Dict[str, str]
-    _functions: Dict[str, Callable]
+    @property
+    def probed_nodes(self) -> Tuple[int, ...]:
+        """Decomposition nodes whose cache probes the program unrolls."""
+        return self.program.probed_nodes
 
     def count(
         self,
         counter: OperationCounter,
         cache: AdhesionCache,
         policy: CachePolicy,
+        adhesion: Tuple[Tuple[Variable, ...], ...],
         lo=None,
         hi=None,
         deadline=None,
     ) -> int:
         """Run the generated cached count loop over codes in ``[lo, hi)``."""
-        return self._functions["count"](
-            self._columns, counter, cache, policy, lo, hi, deadline
-        )
-
-    def debug_source(self, mode: str = "count") -> str:
-        """The generated Python source (CLFTJ compiles the count mode only)."""
-        if mode not in self._sources:
-            raise ValueError(
-                f"unknown driver mode {mode!r}; choose one of "
-                f"{tuple(self._sources)}"
-            )
-        return self._sources[mode]
-
-    def matches(self, database: Database) -> bool:
-        """Is this driver still current for ``database``? (see CompiledDriver)"""
-        return all(
-            database.relation_version(name) == version
-            for name, version in self.relation_versions.items()
+        return self.program.functions["count"](
+            self._columns, self._hoist, adhesion, counter, cache, policy,
+            lo, hi, deadline,
         )
 
 
@@ -1115,43 +1168,45 @@ def compile_clftj_driver(
     pure_tries: Sequence[TrieIndex],
     key: Tuple[object, ...],
 ) -> CompiledClftjDriver:
-    """Generate, ``exec``-compile and wrap the CLFTJ count driver.
+    """Bind the CLFTJ count driver to ``pure_tries``' current columns.
 
     ``decomposition`` must already be contracted (the executor's) so the
     baked node ids line up with interpreted executors sharing the caches.
+    The program is fetched from the database's program cache; only a miss
+    generates and ``exec``-compiles the source.
     """
-    depth_of = {variable: depth for depth, variable in enumerate(variable_order)}
-    atom_depths = tuple(
-        tuple(depth_of[variable] for variable in ordered)
-        for ordered in atom_variables
+    view_masks = tuple(_view_mask(base) for base in pure_tries)
+
+    def generate() -> DriverProgram:
+        shapes, owner_at_depth = _clftj_shapes(decomposition, variable_order)
+        codegen = _ClftjCodegen(
+            _atom_depths(variable_order, atom_variables),
+            view_masks,
+            shapes,
+            owner_at_depth,
+        )
+        source = codegen.generate()
+        return DriverProgram(
+            sources={"count": source},
+            functions={
+                "count": _compile_function(
+                    source, "_count", f"{query.name}:clftj-count"
+                )
+            },
+            crossover=leapfrog.KERNEL_CROSSOVER,
+            probed_nodes=tuple(shape.node for shape in codegen.probed),
+        )
+
+    program = database.compiled_program(
+        program_cache_key(key, view_masks), query.relation_names, generate
     )
-    bundles = tuple(_atom_bundle(base) for base in pure_tries)
-    shapes, owner_at_depth = _clftj_shapes(decomposition, variable_order)
-    codegen = _ClftjCodegen(atom_depths, bundles, shapes, owner_at_depth)
-    source = codegen.generate()
-    # The policy protocol receives the adhesion *variables*; they are
-    # compile-time constants of the plan, pre-bound per probed node.
-    extra = {
-        f"_AV{shape.node}": tuple(
-            variable_order[depth] for depth in shape.adhesion_depths
-        )
-        for shape in codegen.probed
-    }
-    functions = {
-        "count": _compile_function(
-            source, "_count", f"{query.name}:clftj-count", extra
-        )
-    }
     return CompiledClftjDriver(
         key=key,
         query_name=query.name,
         variable_names=tuple(variable.name for variable in variable_order),
         relation_versions=database.relation_versions(query.relation_names),
-        crossover=leapfrog.KERNEL_CROSSOVER,
-        probed_nodes=tuple(shape.node for shape in codegen.probed),
-        _columns=bundles,
-        _sources={"count": source},
-        _functions=functions,
+        program=program,
+        _columns=tuple(_atom_bundle(base) for base in pure_tries),
     )
 
 
@@ -1167,7 +1222,8 @@ class CompiledCachedTrieJoin(_BoundedCachedLeapfrogTrieJoin):
     flow the straight-line driver does not unroll; counting is where the
     paper's experiments live).  The driver is shared through the database's
     compiled cache under the decomposition-aware key, so serial runs,
-    prepared queries and every pclftj morsel resolve to one compilation.
+    prepared queries and every pclftj morsel resolve to one binding (and
+    every write after the first execution to a rebind of one program).
     """
 
     def __init__(
@@ -1261,8 +1317,9 @@ class CompiledCachedTrieJoin(_BoundedCachedLeapfrogTrieJoin):
         self.policy.reset()
         self.policy.bind_space(self.database)
         lo, hi = self._range
+        adhesion = tuple(self._adhesion_vars[node] for node in driver.probed_nodes)
         return driver.count(
-            self.counter, self.cache, self.policy, lo, hi, self.deadline
+            self.counter, self.cache, self.policy, adhesion, lo, hi, self.deadline
         )
 
     def evaluate_coded(self):
@@ -1298,7 +1355,7 @@ class CompiledTrieJoin(_BoundedLeapfrogTrieJoin):
 
     **Shared-driver handoff to morsel-parallel execution**: the cache key
     carries no range, so every morsel of a parallel query resolves to the
-    *same* driver — one compilation per (query, order, physical state)
+    *same* driver — one binding per (query, order, physical state)
     regardless of how many ranges the scheduler runs, and fork-backend
     workers inherit the parent's already-built driver by copy-on-write
     (the parallel executor's ``build()`` runs before the pool forks or

@@ -413,7 +413,8 @@ class QueryEngine:
             "compiled drivers: "
             f"{self.database.compiled_cache_size()} driver(s) cached, "
             f"{self.database.compiled_builds} build(s), "
-            f"{self.database.compiled_cache_hits} hit(s); "
+            f"{self.database.compiled_cache_hits} hit(s), "
+            f"{self.database.compiled_codegens} codegen(s); "
             f"this query: "
             f"{self._compiled_state(query, resolved, variable_order, compile, plan)}"
         )
@@ -790,6 +791,7 @@ class QueryEngine:
         metadata["plan_cache_hits"] = scope.get("plan_cache_hits")
         metadata["compiled_builds"] = scope.get("compiled_builds")
         metadata["compiled_cache_hits"] = scope.get("compiled_cache_hits")
+        metadata["compiled_codegens"] = scope.get("compiled_codegens")
         # Index mutations observed during this execution (an executor never
         # mutates, but a caller interleaving updates on this thread sees
         # them attributed to the run that noticed them).

@@ -228,7 +228,8 @@ class PreparedQuery:
         database's compiled-driver cache, so a version bump on any tracked
         relation (delta update, replacement, or compaction) that dropped the
         driver is visible here immediately as ``None`` — and the next
-        ``count()``/``evaluate()`` recompiles during its build phase.  The
+        ``count()``/``evaluate()`` rebinds the cached program to the current
+        columns during its build phase.  The
         returned :class:`~repro.engine.compiler.CompiledDriver` exposes
         ``debug_source(mode)`` for inspection.
         """

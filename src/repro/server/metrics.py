@@ -34,8 +34,9 @@ _PROM_HELP: Dict[str, str] = {
     "index_compactions": "cached indexes compacted",
     "plan_builds": "execution plans computed",
     "plan_cache_hits": "plan cache hits",
-    "compiled_builds": "specialized drivers compiled",
+    "compiled_builds": "compiled drivers bound to trie columns",
     "compiled_cache_hits": "compiled-driver cache hits",
+    "compiled_codegens": "compiled-driver programs generated",
 }
 
 

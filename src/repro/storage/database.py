@@ -36,6 +36,7 @@ SCOPED_COUNTERS: Tuple[str, ...] = (
     "plan_cache_hits",
     "compiled_builds",
     "compiled_cache_hits",
+    "compiled_codegens",
 )
 
 
@@ -69,6 +70,17 @@ class CacheCounterScope:
     def as_dict(self) -> Dict[str, int]:
         """All recorded deltas keyed by counter name."""
         return dict(self._deltas)
+
+
+def _drop_for(
+    cache: Dict[Hashable, object],
+    relations: Dict[Hashable, FrozenSet[str]],
+    name: str,
+) -> None:
+    """Drop every entry of ``cache`` whose relation set mentions ``name``."""
+    for key in [key for key, names in relations.items() if name in names]:
+        del cache[key]
+        del relations[key]
 
 
 def _rough_bytes(obj: object, depth: int = 4, seen: Optional[set] = None) -> int:
@@ -242,10 +254,16 @@ class Database:
         self.plan_cache_hits: int = 0
         self._compiled_cache: Dict[Hashable, object] = {}
         self._compiled_relations: Dict[Hashable, FrozenSet[str]] = {}
-        #: Number of compiled-driver builds (codegen runs) since creation.
+        self._program_cache: Dict[Hashable, object] = {}
+        self._program_relations: Dict[Hashable, FrozenSet[str]] = {}
+        #: Number of compiled-driver builds (bindings of a program to the
+        #: current trie columns) since creation.
         self.compiled_builds: int = 0
         #: Number of compiled-driver cache hits since creation.
         self.compiled_cache_hits: int = 0
+        #: Number of driver programs generated and ``compile()``-d since
+        #: creation (program-cache misses).
+        self.compiled_codegens: int = 0
         #: Bumped on every mutation (add/replace/insert/delete) — a coarse
         #: "anything changed" observability counter.  Cache holders should
         #: prefer the per-relation :meth:`relation_version`.
@@ -324,10 +342,10 @@ class Database:
     def add_relation(self, relation: Relation, replace: bool = False) -> None:
         """Register ``relation``; refuses to silently overwrite unless ``replace``.
 
-        Replacement is the heavyweight mutation: it drops every cached index
-        and plan touching the relation (the schema may have changed).  For
-        data-only changes prefer :meth:`insert` / :meth:`delete`, which keep
-        the caches warm.
+        Replacement is the heavyweight mutation: it drops every cached index,
+        plan and compiled driver program touching the relation (the schema
+        may have changed).  For data-only changes prefer :meth:`insert` /
+        :meth:`delete`, which keep the caches warm.
         """
         with self._lock:
             if relation.name in self._relations and not replace:
@@ -342,15 +360,9 @@ class Database:
             stale = [key for key in self._index_cache if key[1] == relation.name]
             for key in stale:
                 del self._index_cache[key]
-            stale_plans = [
-                key
-                for key, names in self._plan_relations.items()
-                if relation.name in names
-            ]
-            for key in stale_plans:
-                del self._plan_cache[key]
-                del self._plan_relations[key]
+            _drop_for(self._plan_cache, self._plan_relations, relation.name)
             self._drop_compiled_for(relation.name)
+            _drop_for(self._program_cache, self._program_relations, relation.name)
             self.data_version += 1
 
     def _versioned(self, name: str) -> VersionedRelation:
@@ -474,26 +486,33 @@ class Database:
         index over it (indexes without a ``compact`` hook are evicted).  With
         ``name=None`` every relation is compacted.  Versions do not change —
         compaction is a physical reorganisation, not a logical mutation.
+        A relation with nothing pending is left untouched, compiled drivers
+        included.
         """
         with self._lock:
             names = [name] if name is not None else list(self._relations)
             folded = 0
             for target in names:
                 versioned = self._versioned(target)
-                folded += versioned.compact()
-                # Compaction swaps the backing column arrays without a
-                # version bump, so drivers that captured them go stale.
-                self._drop_compiled_for(target)
+                relation_folded = versioned.compact()
+                folded += relation_folded
+                reorganised = relation_folded > 0
                 for key in [key for key in self._index_cache if key[1] == target]:
                     index = self._index_cache[key]
                     if not getattr(index, "has_deltas", False):
                         continue  # nothing pending (or not a delta-carrying index)
+                    reorganised = True
                     compact = getattr(index, "compact", None)
                     if compact is None:
                         del self._index_cache[key]
                     else:
                         compact()
                         self._bump("index_compactions")
+                if reorganised:
+                    # Compaction swaps the backing column arrays without a
+                    # version bump, so drivers bound to them go stale (their
+                    # programs stay: they hold no data).
+                    self._drop_compiled_for(target)
             return folded
 
     # --------------------------------------------------------------- indexes
@@ -613,12 +632,16 @@ class Database:
     ) -> object:
         """Return (and memoise) a compiled execution driver under ``key``.
 
-        The compiled cache sits alongside the plan cache and shares its
-        per-relation invalidation on replacement — but, unlike plans,
-        compiled drivers capture the *physical* trie columns, so they are
-        additionally dropped on every data mutation (:meth:`insert` /
-        :meth:`delete`) and on :meth:`compact`, which swaps the backing
-        arrays without a logical version bump.  The ``compiled_builds`` /
+        A compiled driver is a *binding*: a data-independent program (see
+        :meth:`compiled_program`) plus the physical trie columns it runs
+        over.  The binding cache sits alongside the plan cache and shares
+        its per-relation invalidation on replacement — but, unlike plans,
+        bindings capture the columns, so they are additionally dropped on
+        every data mutation (:meth:`insert` / :meth:`delete`) and on a
+        :meth:`compact` that folds deltas, which swaps the backing arrays
+        without a logical version bump.  Rebinding after a write is cheap:
+        ``build`` fetches the program from the program cache, which
+        survives all of these.  The ``compiled_builds`` /
         ``compiled_cache_hits`` counters mirror the index and plan cache
         conventions and are surfaced per execution in result metadata.
         """
@@ -642,22 +665,43 @@ class Database:
         read: never builds, never counts as a cache hit."""
         return self._compiled_cache.get(key)
 
+    def compiled_program(
+        self,
+        key: Hashable,
+        relation_names: Iterable[str],
+        build: Callable[[], object],
+    ) -> object:
+        """Return (and memoise) a compiled driver *program* under ``key``.
+
+        Programs are the generated, ``compile()``-d code of a driver; they
+        read every data-dependent value from their arguments at call time,
+        so they survive :meth:`insert`, :meth:`delete` and :meth:`compact`
+        and are dropped only with the relation's schema
+        (:meth:`add_relation` with ``replace=True``) or by
+        :meth:`clear_compiled_cache`.  Each miss bumps
+        ``compiled_codegens``.
+        """
+        with self._lock:
+            entry = self._program_cache.get(key)
+            if entry is None:
+                entry = build()
+                self._bump("compiled_codegens")
+                self._program_cache[key] = entry
+                self._program_relations[key] = frozenset(relation_names)
+            return entry
+
     def _drop_compiled_for(self, name: str) -> None:
-        stale = [
-            key
-            for key, names in self._compiled_relations.items()
-            if name in names
-        ]
-        for key in stale:
-            del self._compiled_cache[key]
-            del self._compiled_relations[key]
+        _drop_for(self._compiled_cache, self._compiled_relations, name)
 
     def clear_compiled_cache(self) -> int:
-        """Drop every compiled driver; returns how many were dropped."""
+        """Drop every compiled driver and program; returns how many drivers
+        were dropped."""
         with self._lock:
             dropped = len(self._compiled_cache)
             self._compiled_cache.clear()
             self._compiled_relations.clear()
+            self._program_cache.clear()
+            self._program_relations.clear()
             return dropped
 
     def compiled_cache_size(self) -> int:
@@ -728,16 +772,19 @@ class Database:
         """Rough bytes held by the memory-governed structures.
 
         Covers the index cache (trie columns dominate), the compiled-driver
-        cache (captured column references are shared with the index cache
-        and de-duplicated by identity) and the value dictionary.  Adhesion
+        bindings (captured column references are shared with the index cache
+        and de-duplicated by identity), their programs and the value
+        dictionary.  Adhesion
         caches report through their own ``memory_estimate()`` and are
         governed at the engine layer, where they live.  The number is an
         *estimate* — budget enforcement degrades gracefully, so rough is
         good enough.
         """
         with self._lock:
-            entries = list(self._index_cache.values()) + list(
-                self._compiled_cache.values()
+            entries = (
+                list(self._index_cache.values())
+                + list(self._compiled_cache.values())
+                + list(self._program_cache.values())
             )
         seen: set = set()
         total = 0

@@ -1,5 +1,8 @@
 """Tests for the adhesion cache and the caching policies."""
 
+import random
+import sys
+
 import pytest
 
 from repro.core.cache import (
@@ -10,6 +13,7 @@ from repro.core.cache import (
     NeverCachePolicy,
     SupportThresholdPolicy,
 )
+from repro.core.factorized import FactorizedNode
 from repro.core.instrumentation import OperationCounter
 from repro.query.parser import parse_query
 from repro.query.terms import Variable
@@ -104,6 +108,66 @@ class TestAdhesionCache:
             AdhesionCache(capacity=-1)
         with pytest.raises(ValueError):
             AdhesionCache(eviction="random")
+
+
+def _walked_memory_estimate(cache):
+    """Reference: the memory estimate recomputed by walking every entry."""
+    total = sys.getsizeof(cache._entries)
+    for key, value in cache._entries.items():
+        total += sys.getsizeof(key) + sum(sys.getsizeof(v) for v in key[1])
+        if isinstance(value, FactorizedNode):
+            total += 32 * value.memory_entries()
+        else:
+            total += sys.getsizeof(value)
+    return total
+
+
+def _factorized_value(rng):
+    """A small two-level factorisation with a random number of entries."""
+    x, y = Variable("x"), Variable("y")
+    child = FactorizedNode((y,))
+    for value in range(rng.randrange(0, 4)):
+        child.add_entry((value,))
+    node = FactorizedNode((x,))
+    for value in range(rng.randrange(1, 5)):
+        node.add_entry((value,), (child,))
+    return node
+
+
+class TestMemoryEstimate:
+    """The O(1) running byte total tracks every way entries come and go."""
+
+    @pytest.mark.parametrize("mode", ["count", "evaluate"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_running_total_matches_full_walk(self, mode, seed):
+        rng = random.Random(seed)
+        eviction = "lru" if seed % 2 else "reject"
+        capacity = None if seed % 3 == 0 else rng.randrange(3, 12)
+        cache = AdhesionCache(capacity=capacity, eviction=eviction,
+                              counter=OperationCounter())
+        cache.bind_mode(mode)
+        assert cache.memory_estimate() == _walked_memory_estimate(cache)
+        for _step in range(400):
+            action = rng.random()
+            node = rng.randrange(4)
+            # A small key space makes replacements and LRU churn frequent;
+            # big values exercise variable-size int charges.
+            key = tuple(rng.choice((1, 7, 2**40, -3)) for _ in range(rng.randrange(0, 3)))
+            if action < 0.75:
+                value = (
+                    rng.choice((0, 5, 2**70)) if mode == "count"
+                    else _factorized_value(rng)
+                )
+                cache.put(node, key, value)
+            elif action < 0.85:
+                cache.get(node, key)
+            elif action < 0.93:
+                cache.invalidate_nodes(rng.sample(range(4), rng.randrange(0, 3)))
+            elif action < 0.98:
+                cache.invalidate(node)
+            else:
+                cache.invalidate()
+            assert cache.memory_estimate() == _walked_memory_estimate(cache)
 
 
 class TestSimplePolicies:

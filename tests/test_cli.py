@@ -108,6 +108,14 @@ class TestCommands:
         assert output.count("mutated E: +4 rows") == 2
         assert "index_patches=" in output
         assert "rebuilds_after_updates=0" in output
+        assert "codegen_after_updates=0" in output
+
+    @pytest.mark.parametrize("query, algorithm", [("3-cycle", "lftj"), ("4-path", "clftj")])
+    def test_run_mutate_rebinds_compiled_drivers(self, capsys, query, algorithm):
+        code = main(["run", "--dataset", "wiki-Vote", "--query", query,
+                     "--algorithm", algorithm, "--repeat", "3", "--mutate", "5"])
+        assert code == 0
+        assert "codegen_after_updates=0 compiled=True" in capsys.readouterr().out
 
     def test_explain_auto(self, capsys):
         code = main(["explain", "--dataset", "wiki-Vote", "--query", "5-cycle",

@@ -2,10 +2,10 @@
 
 The compiled driver must be invisible except for speed: identical counts,
 identical row streams, identical instrumentation counters.  These tests pin
-the cache-and-invalidation contract (version-keyed drivers dropped on
-replacement, delta updates and compaction), the two-phase build protocol,
-the metadata/explain reporting, the interpreted escape hatch and the CLI
-surface.
+the cache-and-invalidation contract (version-keyed bindings dropped on
+replacement, delta updates and compaction; data-independent programs that
+survive every write), the two-phase build protocol, the metadata/explain
+reporting, the interpreted escape hatch and the CLI surface.
 """
 
 import random
@@ -15,6 +15,7 @@ import sys
 import pytest
 
 from repro.cli import main
+from repro.core.cache import SupportThresholdPolicy
 from repro.core.instrumentation import OperationCounter
 from repro.core.lftj import LeapfrogTrieJoin
 from repro.engine import QueryEngine
@@ -26,6 +27,7 @@ from repro.engine.compiler import (
 from repro.query.parser import parse_query
 from repro.query.patterns import clique_query, cycle_query, path_query
 from repro.storage.database import Database
+from repro.storage.dictionary import numpy
 from repro.storage.relation import Relation
 
 
@@ -149,6 +151,7 @@ class TestCacheAndInvalidation:
         recompiled = engine.count(query, algorithm="lftj")
         assert recompiled.metadata["compiled"] is True
         assert recompiled.metadata["compiled_builds"] == 1
+        assert recompiled.metadata["compiled_codegens"] == 0  # rebound only
         assert recompiled.count == oracle.count
 
     def test_compaction_drops_version_keyed_driver(self, engine, database):
@@ -167,14 +170,28 @@ class TestCacheAndInvalidation:
         database.insert("E", [(500, 501)])
         database.compact()
         assert database.peek_compiled_driver(key) is None
-        # Recompiled driver records the bumped version.
+        # The rebound driver records the bumped version over the same program.
         engine.count(query, algorithm="lftj")
         fresh = database.peek_compiled_driver(key)
         assert fresh is not None and fresh is not driver
+        assert fresh.program is driver.program
         assert fresh.relation_versions == database.relation_versions(
             query.relation_names
         )
         assert fresh.relation_versions != driver.relation_versions
+
+    def test_noop_compaction_keeps_drivers(self, engine, database):
+        query = cycle_query(3)
+        engine.count(query, algorithm="lftj")
+        engine.count(path_query(4), algorithm="clftj")
+        size = database.compiled_cache_size()
+        assert size == 2
+        assert database.compact() == 0  # nothing pending: folds 0 tuples
+        assert database.compact("E") == 0
+        assert database.compiled_cache_size() == size
+        again = engine.count(query, algorithm="lftj")
+        assert again.metadata["compiled_builds"] == 0
+        assert again.metadata["compiled_cache_hits"] == 1
 
 
 class TestPrepared:
@@ -239,6 +256,11 @@ class TestReporting:
         result = engine.count(cycle_query(3), algorithm="pairwise")
         assert result.metadata["compiled_builds"] == 0
         assert result.metadata["compiled_cache_hits"] == 0
+        assert result.metadata["compiled_codegens"] == 0
+
+    def test_explain_reports_codegens(self, engine):
+        engine.count(cycle_query(3), algorithm="lftj")
+        assert "1 codegen(s)" in engine.explain(cycle_query(3), algorithm="lftj")
 
     def test_selector_reasons_mention_compiled_state(self, engine):
         query = cycle_query(3)
@@ -395,3 +417,151 @@ class TestClftjCompiled:
         assert "factorized" in result.metadata["compiled_reason"]
         oracle = engine.evaluate(query, algorithm="clftj", compile=False)
         assert result.rows == oracle.rows
+
+
+def _run(engine, query, algorithm, mode, **kwargs):
+    if mode == "count":
+        return engine.count(query, algorithm=algorithm, **kwargs)
+    return engine.evaluate(query, algorithm=algorithm, **kwargs)
+
+
+def _assert_matches_oracle(engine, query, algorithm, mode, result):
+    oracle = _run(engine, query, algorithm, mode, compile=False)
+    assert result.count == oracle.count
+    if mode == "evaluate":
+        assert result.rows == oracle.rows
+    # The full vector: trie work, recursion, results and (clftj) cache_hits.
+    assert result.counter.as_dict() == oracle.counter.as_dict()
+
+
+class TestProgramReuse:
+    """Writes rebind compiled drivers to new columns; programs survive."""
+
+    CASES = [
+        (cycle_query(3), "lftj", "count"),
+        (cycle_query(3), "lftj", "evaluate"),
+        (cycle_query(3), "clftj", "count"),
+        (path_query(4), "lftj", "count"),
+        (path_query(4), "lftj", "evaluate"),
+        (path_query(4), "clftj", "count"),
+    ]
+
+    @pytest.mark.parametrize(
+        "query, algorithm, mode", CASES,
+        ids=lambda value: getattr(value, "name", value),
+    )
+    def test_writes_rebind_the_same_functions(self, query, algorithm, mode):
+        database = Database([Relation("E", ("a", "b"), _edges())])
+        engine = QueryEngine(database)
+        warm = _run(engine, query, algorithm, mode)
+        assert warm.metadata["compiled"] is True
+        assert warm.metadata["compiled_codegens"] == 1
+        program = engine.prepare(query, algorithm=algorithm).compiled_driver().program
+        functions = dict(program.functions)
+        # Every write touches the prologue-hoisted sets of both shapes: new
+        # source nodes (a fresh triangle and a path through it) and
+        # deletions of existing edges.  A hoist memo carried over from the
+        # old columns would miscount.
+        edges = _edges()
+
+        def insert():
+            database.insert("E", [(900, 901), (901, 902), (902, 900), (edges[0][1], 900)])
+
+        def delete():
+            database.delete("E", edges[::7])
+
+        def insert_then_compact():
+            database.compaction_floor = 0
+            database.compaction_threshold = 1000.0
+            database.insert("E", [(903, edges[3][0]), (edges[5][1], 903)])
+            assert database.compiled_cache_size() == 0
+            assert database.compact() > 0
+
+        for write in (insert, delete, insert_then_compact):
+            write()
+            result = _run(engine, query, algorithm, mode)
+            assert result.metadata["compiled"] is True
+            assert result.metadata["compiled_builds"] == 1
+            assert result.metadata["compiled_codegens"] == 0
+            driver = engine.prepare(query, algorithm=algorithm).compiled_driver()
+            assert driver.matches(database)
+            assert driver.program is program
+            for mode_name, function in functions.items():
+                assert driver.program.functions[mode_name] is function
+            _assert_matches_oracle(engine, query, algorithm, mode, result)
+        assert database.compiled_codegens == 1
+
+    @pytest.mark.parametrize("algorithm", ["lftj", "clftj"])
+    def test_emptied_relation_builds_its_own_program(self, algorithm):
+        edges = _edges()
+        database = Database([Relation("E", ("a", "b"), edges)])
+        engine = QueryEngine(database)
+        query = path_query(4)
+        full = _run(engine, query, algorithm, "count")
+        database.delete("E", edges)
+        empty = _run(engine, query, algorithm, "count")
+        assert empty.count == 0
+        assert empty.metadata["compiled"] is True
+        # Empty levels carry no numpy view, which changes the generated
+        # kernel choice: a distinct program (without numpy every level
+        # lacks a view, so nothing changes).
+        assert empty.metadata["compiled_codegens"] == (1 if numpy is not None else 0)
+        _assert_matches_oracle(engine, query, algorithm, "count", empty)
+        database.insert("E", edges)
+        restored = _run(engine, query, algorithm, "count")
+        assert restored.count == full.count
+        assert restored.metadata["compiled"] is True
+        assert restored.metadata["compiled_codegens"] == 0  # original program
+        _assert_matches_oracle(engine, query, algorithm, "count", restored)
+
+    def test_clear_compiled_cache_drops_programs(self, engine, database):
+        query = cycle_query(3)
+        engine.count(query, algorithm="lftj")
+        assert database.clear_compiled_cache() == 1
+        again = engine.count(query, algorithm="lftj")
+        assert again.metadata["compiled_builds"] == 1
+        assert again.metadata["compiled_codegens"] == 1
+
+    def test_replacement_drops_programs_of_that_relation_only(self):
+        database = Database([
+            Relation("E", ("a", "b"), _edges()),
+            Relation("F", ("a", "b"), _edges(seed=5)),
+        ])
+        engine = QueryEngine(database)
+        on_e, on_f = cycle_query(3), parse_query("F(x, y), F(y, z), F(z, x)")
+        engine.count(on_e, algorithm="lftj")
+        engine.count(on_f, algorithm="lftj")
+        database.add_relation(Relation("E", ("a", "b"), _edges(seed=99)), replace=True)
+        replaced = engine.count(on_e, algorithm="lftj")
+        assert replaced.metadata["compiled_codegens"] == 1
+        assert replaced.count == engine.count(on_e, algorithm="lftj", compile=False).count
+        database.insert("F", [(700, 701)])
+        untouched = engine.count(on_f, algorithm="lftj")
+        assert untouched.metadata["compiled_builds"] == 1
+        assert untouched.metadata["compiled_codegens"] == 0
+
+    def test_clftj_policy_sees_the_callers_adhesion_variables(self, engine, database):
+        # Same shape, different variable names: one shared program, but the
+        # support policy looks up *its own* query's variables — they must
+        # reach the policy per call, not be baked in from the first query.
+        first = path_query(4)
+        renamed = parse_query(
+            ", ".join(
+                f"E(v{atom.terms[0].name}, v{atom.terms[1].name})"
+                for atom in first.atoms
+            )
+        )
+        engine.count(first, algorithm="clftj")
+        for query in (first, renamed):
+            compiled = engine.count(
+                query, algorithm="clftj",
+                policy=SupportThresholdPolicy(database, query, threshold=3),
+            )
+            oracle = engine.count(
+                query, algorithm="clftj", compile=False,
+                policy=SupportThresholdPolicy(database, query, threshold=3),
+            )
+            assert compiled.metadata["compiled"] is True
+            assert compiled.counter.cache_hits > 0
+            assert compiled.counter.as_dict() == oracle.counter.as_dict()
+        assert database.compiled_codegens == 1

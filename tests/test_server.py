@@ -367,6 +367,8 @@ class TestService:
         assert samples > 20
         assert "repro_query_index_builds_total" in text
         assert 'repro_requests_total{endpoint="count",status="200"} 1' in text
+        assert "repro_db_compiled_codegens_total" in text
+        assert "repro_query_compiled_codegens_total" in text
 
 
 # ---------------------------------------------------------------------------
